@@ -69,6 +69,14 @@ class ExactScoreModel:
                 f"state must have dimension {self.dataset.dim}, got shape {np.shape(x)}")
         return X
 
+    def _as_point(self, x) -> np.ndarray:
+        """One state as a (1, D) batch; the single-point methods reject more."""
+        X = self._as_batch(x)
+        if X.shape[0] != 1:
+            raise ShapeError(
+                f"expected one state, got {X.shape[0]}; use the _batch method")
+        return X
+
     def _log_kernels(self, X: np.ndarray, s: float):
         """Matrix a_ij = -|x_i - theta*y_j|^2 / (2 var) plus (theta, var)."""
         theta, var = self._s_forward(s)
@@ -89,7 +97,7 @@ class ExactScoreModel:
                 - 0.5 * d * np.log(2.0 * np.pi * var))
 
     def mixture_logpdf(self, x, s: float) -> float:
-        return float(self.mixture_logpdf_batch(x, s)[0])
+        return float(self.mixture_logpdf_batch(self._as_point(x), s)[0])
 
     def posterior_weights_batch(self, X, s: float) -> np.ndarray:
         X = self._as_batch(X)
@@ -110,7 +118,7 @@ class ExactScoreModel:
         return softmax(a, axis=1) @ self.dataset.points
 
     def score(self, x, s: float) -> ScoreEval:
-        X = self._as_batch(x)
+        X = self._as_point(x)
         a, theta, var = self._log_kernels(X, s)
         W = softmax(a, axis=1)
         n, d = self.dataset.n_points, self.dataset.dim
@@ -129,7 +137,7 @@ class ExactScoreModel:
         return beta * (-0.25 * np.sum(X * X, axis=1) - logsumexp(a, axis=1))
 
     def potential(self, x, t: float) -> float:
-        return float(self.potential_batch(x, t)[0])
+        return float(self.potential_batch(self._as_point(x), t)[0])
 
     def potential_gradient_batch(self, X, t: float) -> np.ndarray:
         """grad u = -beta * (score + x/2); -grad u is the generative drift."""
@@ -139,7 +147,7 @@ class ExactScoreModel:
         return -beta * (self.score_batch(X, s) + 0.5 * X)
 
     def potential_gradient(self, x, t: float) -> np.ndarray:
-        return self.potential_gradient_batch(x, t)[0]
+        return self.potential_gradient_batch(self._as_point(x), t)[0]
 
     def second_derivative_origin_1d(self, t: float) -> float:
         """Closed-form d^2u/dx^2 at x = 0 for the two-point dataset {-1, +1}.
@@ -180,7 +188,7 @@ class ExactScoreModel:
         H = beta * ( (1/(1-theta^2) - 1/2) I - Cov_w[theta Y] / (1-theta^2)^2 ).
         """
         s = self._s_of_t(t)
-        X = self._as_batch(x)
+        X = self._as_point(x)
         a, theta, var = self._log_kernels(X, s)
         w = softmax(a, axis=1)[0]
         beta = self.schedule.beta_at(s)

@@ -5,6 +5,11 @@ a counter-based PRNG whose output is a pure function of its 128-bit key.
 Streams are keyed by (seed, stream_index), so independent consumers (one
 sampler chain, one dataset draw) get reproducible, non-overlapping streams
 on any platform and under any thread count.
+
+`stream` returns one keyed Generator.  `chain_normals` draws the leading
+standard normals of many consecutive streams at once, as the samplers do
+for their chains: row i is still exactly stream (seed, i), but one Philox
+is re-keyed per row instead of building a new Generator per row.
 """
 
 from __future__ import annotations
@@ -14,12 +19,35 @@ import numpy as np
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Return the Generator for stream `index` of the given seed."""
+def _key(seed: int, index: int) -> np.ndarray:
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     if index < 0:
         raise ValueError("stream index must be a nonnegative integer")
-    key = np.array([np.uint64(seed) & _MASK64, np.uint64(index) & _MASK64],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([np.uint64(seed) & _MASK64, np.uint64(index) & _MASK64],
+                    dtype=np.uint64)
+
+
+def stream(seed: int, index: int = 0) -> np.random.Generator:
+    """Return the Generator for stream `index` of the given seed."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
+
+
+def chain_normals(seed: int, chains: int, per_chain: int) -> np.ndarray:
+    """(chains, per_chain) array whose row i is the first `per_chain`
+    values of `stream(seed, i).standard_normal(...)`, bit for bit."""
+    key = _key(seed, 0)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    # the state of a fresh Philox(key=key): counter 0, output buffer empty;
+    # the setter copies it, so rewriting key[1] re-keys the next row
+    empty = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": empty, "key": key},
+             "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = np.empty((chains, per_chain))
+    for i in range(chains):
+        key[1] = i
+        bitgen.state = state
+        gen.standard_normal(out=out[i])
+    return out

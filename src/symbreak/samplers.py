@@ -5,6 +5,8 @@ to 0, with the final node replaced by s_min (the s = 0 kernel is atomic),
 and finish with a posterior-mean jump E[Y0 | x] at s_min.  Chain i draws
 all of its randomness from the counter-based stream keyed (seed, i), so a
 batch is bit-reproducible regardless of execution order or thread count.
+The whole batch is drawn up front by `rng.chain_normals`, whose row i is
+still stream (seed, i): init first, then the step noise.
 
 Initialization is either a standard normal or a moment-matched Gaussian
 ("gls"): mean theta*mean(data), covariance theta^2*Cov(data) + (1-theta^2)I,
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import (DivergedError, DomainError, FactorizationError,
                      ShapeError)
 from .exact_score import ExactScoreModel
-from .rng import stream
+from .rng import chain_normals, stream
 
 _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
 _INITS = ("standard_normal", "gls")
@@ -123,18 +125,20 @@ def _build_grid(model: ExactScoreModel, config: SamplerConfig) -> np.ndarray:
 
 def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
                  n_noise: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chain init states and step noise from streams keyed (seed, chain)."""
+    """Per-chain init states and step noise from streams keyed (seed, chain).
+
+    Chain i's init is the first d normals of its stream and its step noise
+    the next n_noise * d, exactly as one Generator per chain would draw them.
+    """
     d = model.dataset.dim
+    z = chain_normals(config.seed, batch, (1 + n_noise) * d)
+    init = z[:, :d]
+    noise = z[:, d:].reshape(batch, n_noise, d)
     if config.init == "gls":
         ginit = gls_init(model, config.s_start)
-    init = np.empty((batch, d))
-    noise = np.empty((batch, n_noise, d)) if n_noise else np.empty((batch, 0, d))
-    for i in range(batch):
-        rng = stream(config.seed, i)
-        z = rng.standard_normal(d)
-        init[i] = ginit.mean + ginit.cholesky @ z if config.init == "gls" else z
-        if n_noise:
-            noise[i] = rng.standard_normal((n_noise, d))
+        # stacked mat-vec, bit-equal per row to L @ z; z @ L.T is a GEMM
+        # whose rounding may depend on the batch and break the prefix property
+        init = ginit.mean + np.matmul(ginit.cholesky, init[:, :, None])[:, :, 0]
     return init, noise
 
 

@@ -237,3 +237,49 @@ def test_state_shape_is_enforced(two_point_model):
         two_point_model.mixture_logpdf([0.0, 1.0], 0.5)
     with pytest.raises(ShapeError):
         two_point_model.score_batch(np.zeros((3, 2)), 0.5)
+
+
+# the single-point methods take one state (1-D or (1, D)) and must refuse a
+# batch rather than silently evaluate its first row
+
+def _two_states(model):
+    return model.dataset.points[:2] * 0.7
+
+
+def test_score_rejects_a_batch(gmm_model):
+    X = _two_states(gmm_model)
+    with pytest.raises(ShapeError):
+        gmm_model.score(X, 0.5)
+    assert np.array_equal(gmm_model.score(X[:1], 0.5).score,
+                          gmm_model.score(X[0], 0.5).score)
+
+
+def test_mixture_logpdf_rejects_a_batch(gmm_model):
+    X = _two_states(gmm_model)
+    with pytest.raises(ShapeError):
+        gmm_model.mixture_logpdf(X, 0.5)
+    assert (gmm_model.mixture_logpdf(X[:1], 0.5)
+            == gmm_model.mixture_logpdf(X[0], 0.5))
+
+
+def test_potential_rejects_a_batch(gmm_model):
+    X = _two_states(gmm_model)
+    with pytest.raises(ShapeError):
+        gmm_model.potential(X, 0.5)
+    assert gmm_model.potential(X[:1], 0.5) == gmm_model.potential(X[0], 0.5)
+
+
+def test_potential_gradient_rejects_a_batch(gmm_model):
+    X = _two_states(gmm_model)
+    with pytest.raises(ShapeError):
+        gmm_model.potential_gradient(X, 0.5)
+    assert np.array_equal(gmm_model.potential_gradient(X[:1], 0.5),
+                          gmm_model.potential_gradient(X[0], 0.5))
+
+
+def test_hessian_rejects_a_batch(gmm_model):
+    X = _two_states(gmm_model)
+    with pytest.raises(ShapeError):
+        gmm_model.hessian(X, 0.5)
+    assert np.array_equal(gmm_model.hessian(X[:1], 0.5),
+                          gmm_model.hessian(X[0], 0.5))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symbreak.rng import stream
+from symbreak.rng import chain_normals, stream
 
 
 def test_same_key_reproduces_bits():
@@ -42,3 +42,28 @@ def test_negative_arguments_rejected():
         stream(-1)
     with pytest.raises(ValueError):
         stream(0, -2)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 32 + 1, 2 ** 63 + 11])
+@pytest.mark.parametrize("chains", [1, 7, 300])
+def test_chain_normals_rows_are_streams(seed, chains):
+    z = chain_normals(seed, chains, 9)
+    assert z.shape == (chains, 9)
+    for i in range(chains):
+        assert np.array_equal(z[i], stream(seed, i).standard_normal(9))
+
+
+def test_chain_normals_split_matches_two_draws():
+    # the samplers split each row into init | step noise; that must equal
+    # the per-chain draw standard_normal(d) then standard_normal((n, d))
+    d, n = 3, 5
+    z = chain_normals(2 ** 63 + 11, 4, (1 + n) * d)
+    for i in range(4):
+        rng = stream(2 ** 63 + 11, i)
+        assert np.array_equal(z[i, :d], rng.standard_normal(d))
+        assert np.array_equal(z[i, d:].reshape(n, d), rng.standard_normal((n, d)))
+
+
+def test_chain_normals_rejects_negative_seed():
+    with pytest.raises(ValueError):
+        chain_normals(-1, 3, 2)

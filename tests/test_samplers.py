@@ -6,7 +6,7 @@ from scipy import stats
 
 from symbreak import (EmpiricalDataset, ExactScoreModel, SamplerConfig,
                       VpSchedule, estimate_knee, forward_sample, gls_init,
-                      late_start_sweep, run_sampler, sample_ddim,
+                      hypersphere, late_start_sweep, run_sampler, sample_ddim,
                       sample_stochastic, two_point_1d)
 from symbreak.errors import DivergedError, DomainError, ShapeError
 
@@ -119,11 +119,25 @@ def test_identical_config_reproduces_bits(two_point_model):
 
 def test_chains_are_independent_of_batch_size(two_point_model):
     # chain i's stream is keyed (seed, i): a bigger batch must reproduce
-    # the smaller batch as a prefix
-    cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=40, s_start=1.0, seed=8)
-    small = sample_stochastic(two_point_model, cfg, 5)
-    large = sample_stochastic(two_point_model, cfg, 11)
-    assert np.array_equal(large.finals[:5], small.finals)
+    # the smaller batch as a prefix, in 1-D and on a D=64 hypersphere
+    sphere = ExactScoreModel(hypersphere(64, 1.0, 96, 4), VpSchedule())
+    for model, n_steps in ((two_point_model, 40), (sphere, 8)):
+        for kind in ("stochastic_sde", "ancestral_ddpm", "ddim"):
+            for init in ("standard_normal", "gls"):
+                cfg = SamplerConfig(kind=kind, n_steps=n_steps, s_start=0.6,
+                                    init=init, seed=8)
+                runs = {n: run_sampler(model, cfg, n, keep_trajectories=True)
+                        for n in (1, 5, 11, 24)}
+                # init states are per-row for any batch sizes: the gls
+                # transform must stay a stacked mat-vec, not a GEMM
+                for n in (1, 5, 11):
+                    assert np.array_equal(runs[24].trajectories[:n, 0],
+                                          runs[n].trajectories[:, 0]), (kind, init, n)
+                # the steps go through BLAS in the posterior kernel, which at
+                # D=64 rounds alike only for nearby batch sizes: compare 5, 11
+                assert np.array_equal(runs[11].finals[:5], runs[5].finals), (kind, init)
+                assert np.array_equal(runs[11].trajectories[:5],
+                                      runs[5].trajectories), (kind, init)
 
 
 def test_trajectories_shape_and_init(embedded_2d_model):
