@@ -185,32 +185,35 @@ def correlation_trajectory(run: SamplerRun,
                           "sample with keep_trajectories=True")
     traj = run.trajectories
     S, n_nodes, d = traj.shape
-
-    def _corr(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-        a = a - a.mean()
-        b = b - b.mean()
-        denom = np.sqrt(np.sum(a * a) * np.sum(b * b))
-        if denom == 0.0:
-            return 0.0, True
-        return float(np.sum(a * b) / denom), False
-
     if d == 1:
-        finals = run.finals[:, 0]
-        values = np.empty((n_nodes, 1))
-        flagged = np.zeros((n_nodes, 1), dtype=bool)
-        for k in range(n_nodes):
-            values[k, 0], flagged[k, 0] = _corr(traj[:, k, 0], finals)
-        return CorrelationTrajectory(values, flagged, True)
-
+        values, flagged = _pearson(run.finals[:, 0], traj[:, :, 0].T)
+        return CorrelationTrajectory(values[:, None], flagged[:, None], True)
     if not 0 <= reference_index < S:
         raise DomainError(f"reference_index must lie in [0, {S})")
-    values = np.empty((n_nodes, S))
-    flagged = np.zeros((n_nodes, S), dtype=bool)
-    for k in range(n_nodes):
-        ref = traj[reference_index, k]
-        for i in range(S):
-            values[k, i], flagged[k, i] = _corr(ref, traj[i, k])
-    return CorrelationTrajectory(values, flagged, False)
+    values, flagged = _pearson(traj[reference_index], traj)
+    return CorrelationTrajectory(values.T, flagged.T, False)
+
+
+def _pearson(ref: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation of each row of `states` with `ref` (broadcast).
+
+    Rows are the last axis.  Where either side has zero variance the value
+    is 0.0 and flagged.  One buffer the size of `states` holds the centered
+    rows twice over, once per product; it is C-ordered so each row sums in
+    the same order as a lone 1-D row.
+    """
+    ref = ref - ref.mean(axis=-1, keepdims=True)
+    buf = np.array(states, order="C")
+    mean = buf.mean(axis=-1, keepdims=True)
+    buf -= mean
+    buf *= ref
+    num = np.sum(buf, axis=-1)
+    np.subtract(states, mean, out=buf)
+    np.square(buf, out=buf)
+    denom = np.sqrt(np.sum(buf, axis=-1) * np.sum(ref * ref, axis=-1))
+    flagged = denom == 0.0
+    values = np.divide(num, denom, out=np.zeros_like(num), where=~flagged)
+    return values, flagged
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import logsumexp
 
 from .datasets import EmpiricalDataset
 from .errors import DomainError, ShapeError
 from .schedule import VpSchedule
+
+
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Row softmax of `a`, overwriting it.
+
+    The shift-then-exp sequence of scipy.special.softmax, so the bytes match.
+    """
+    a -= np.max(a, axis=1, keepdims=True)
+    np.exp(a, out=a)
+    a /= np.sum(a, axis=1, keepdims=True)
+    return a
 
 
 @dataclass(frozen=True)
@@ -78,14 +89,19 @@ class ExactScoreModel:
         return X
 
     def _log_kernels(self, X: np.ndarray, s: float):
-        """Matrix a_ij = -|x_i - theta*y_j|^2 / (2 var) plus (theta, var)."""
+        """Matrix a_ij = -|x_i - theta*y_j|^2 / (2 var) plus (theta, var).
+
+        Every pass after the GEMM runs in place on its one B x N buffer.
+        """
         theta, var = self._s_forward(s)
         Y = self.dataset.points
-        sq = (np.sum(X * X, axis=1)[:, None]
-              - 2.0 * theta * (X @ Y.T)
-              + theta * theta * np.sum(Y * Y, axis=1)[None, :])
-        np.maximum(sq, 0.0, out=sq)  # guard cancellation at x ~ theta*y_j
-        return -sq / (2.0 * var), theta, var
+        a = X @ Y.T
+        a *= 2.0 * theta
+        np.subtract(np.sum(X * X, axis=1)[:, None], a, out=a)
+        a += theta * theta * np.sum(Y * Y, axis=1)
+        np.maximum(a, 0.0, out=a)  # guard cancellation at x ~ theta*y_j
+        np.divide(a, -2.0 * var, out=a)  # bit-equal to -a / (2 var)
+        return a, theta, var
 
     # -- density and score -------------------------------------------------
 
@@ -102,28 +118,28 @@ class ExactScoreModel:
     def posterior_weights_batch(self, X, s: float) -> np.ndarray:
         X = self._as_batch(X)
         a, _, _ = self._log_kernels(X, s)
-        return softmax(a, axis=1)
+        return _softmax_rows(a)
 
     def score_batch(self, X, s: float) -> np.ndarray:
         """Gradient of log p(x, s) wrt x: sum_j w_j (theta*y_j - x) / var."""
         X = self._as_batch(X)
         a, theta, var = self._log_kernels(X, s)
-        W = softmax(a, axis=1)
+        W = _softmax_rows(a)
         return (theta * (W @ self.dataset.points) - X) / var
 
     def posterior_mean_batch(self, X, s: float) -> np.ndarray:
         """Denoiser output E[Y0 | x at time s] = sum_j w_j y_j."""
         X = self._as_batch(X)
         a, _, _ = self._log_kernels(X, s)
-        return softmax(a, axis=1) @ self.dataset.points
+        return _softmax_rows(a) @ self.dataset.points
 
     def score(self, x, s: float) -> ScoreEval:
         X = self._as_point(x)
         a, theta, var = self._log_kernels(X, s)
-        W = softmax(a, axis=1)
         n, d = self.dataset.n_points, self.dataset.dim
         logpdf = (logsumexp(a, axis=1) - np.log(n)
                   - 0.5 * d * np.log(2.0 * np.pi * var))
+        W = _softmax_rows(a)  # after logsumexp: this overwrites a
         sc = (theta * (W @ self.dataset.points) - X) / var
         return ScoreEval(float(logpdf[0]), sc[0], W[0])
 
@@ -190,7 +206,7 @@ class ExactScoreModel:
         s = self._s_of_t(t)
         X = self._as_point(x)
         a, theta, var = self._log_kernels(X, s)
-        w = softmax(a, axis=1)[0]
+        w = _softmax_rows(a)[0]
         beta = self.schedule.beta_at(s)
         Y = theta * self.dataset.points
         mean = w @ Y

@@ -293,6 +293,39 @@ def test_correlation_pools_one_dimensional_runs(two_point_model):
     assert out.values[-1, 0] > 0.9            # settled states define finals
 
 
+def test_correlation_matches_corrcoef_entrywise():
+    rng = stream(50)
+    S, n_nodes, d = 7, 9, 5
+    traj = rng.standard_normal((S, n_nodes, d)) * rng.uniform(0.2, 3.0,
+                                                             (S, 1, 1))
+    traj[4] = 1.5  # a zero-variance chain: constant across coordinates
+    for r in (0, 2):
+        out = correlation_trajectory(_toy_run(traj), reference_index=r)
+        assert out.values.shape == (n_nodes, S)
+        for k in range(n_nodes):
+            for i in range(S):
+                if i == 4:
+                    assert out.flagged[k, i] and out.values[k, i] == 0.0
+                    continue
+                want = np.corrcoef(traj[r, k], traj[i, k])[0, 1]
+                assert not out.flagged[k, i]
+                assert out.values[k, i] == pytest.approx(want, abs=1e-12)
+
+
+def test_pooled_correlation_matches_corrcoef():
+    rng = stream(51)
+    traj = rng.standard_normal((30, 6, 1))
+    finals = rng.standard_normal((30, 1))
+    traj[:, 2, 0] = -0.75  # a node where every chain sits at one state
+    out = correlation_trajectory(_toy_run(traj, finals))
+    assert out.pooled and out.values.shape == (6, 1)
+    assert out.flagged[2, 0] and out.values[2, 0] == 0.0
+    for k in (0, 1, 3, 4, 5):
+        want = np.corrcoef(traj[:, k, 0], finals[:, 0])[0, 1]
+        assert not out.flagged[k, 0]
+        assert out.values[k, 0] == pytest.approx(want, abs=1e-12)
+
+
 def test_correlation_reference_index_bounds():
     traj = stream(48).standard_normal((3, 4, 5))
     with pytest.raises(DomainError):

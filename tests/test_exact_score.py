@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp, softmax
 
-from symbreak import EmpiricalDataset, ExactScoreModel
+from symbreak import (EmpiricalDataset, ExactScoreModel, center_and_normalize,
+                      gaussian_mixture, hypersphere)
 from symbreak.errors import DomainError, ShapeError
 from symbreak.rng import stream
 
@@ -283,3 +287,74 @@ def test_hessian_rejects_a_batch(gmm_model):
         gmm_model.hessian(X, 0.5)
     assert np.array_equal(gmm_model.hessian(X[:1], 0.5),
                           gmm_model.hessian(X[0], 0.5))
+
+
+# the posterior kernel works in place on one B x N buffer; it must keep the
+# bytes of the textbook route: scipy's softmax of the clamped log-kernel
+
+def _textbook_weights(model, X, s):
+    theta, var = model._s_forward(s)
+    Y = model.dataset.points
+    sq = (np.sum(X * X, axis=1)[:, None] - 2.0 * theta * (X @ Y.T)
+          + theta * theta * np.sum(Y * Y, axis=1)[None, :])
+    a = -np.maximum(sq, 0.0) / (2.0 * var)
+    return a, softmax(a, axis=1), theta, var
+
+
+def _textbook_hessian(model, x, s):
+    _, W, theta, var = _textbook_weights(model, x[None, :], s)
+    w = W[0]
+    Y = theta * model.dataset.points
+    mean = w @ Y
+    cov = (Y * w[:, None]).T @ Y - np.outer(mean, mean)
+    beta = model.schedule.beta_at(s)
+    return beta * ((1.0 / var - 0.5) * np.eye(model.dataset.dim)
+                   - cov / (var * var))
+
+
+@pytest.mark.parametrize("shape", ["gmm", "sphere64"])
+def test_kernel_is_bit_identical_to_the_textbook_route(schedule, shape):
+    if shape == "gmm":  # criterion 7's anisotropic mixture
+        ds = gaussian_mixture([[2.4, 0.6], [0.9, -0.4], [-1.6, 0.8],
+                               [-0.4, -2.0]], 0.1, 16, seed=7)
+    else:
+        ds = center_and_normalize(hypersphere(64, 1.0, 96, seed=3), r=1.0)
+    model = ExactScoreModel(ds, schedule)
+    Y = ds.points
+    X = 1.2 * stream(23).standard_normal((40, ds.dim))
+    X[0] = Y[5]  # a state on a data point, where the clamp matters
+    X_before = X.copy()
+    for s in (1e-4, 0.3, 1.0):
+        a, W, theta, var = _textbook_weights(model, X, s)
+        got = model.posterior_weights_batch(X, s)
+        assert np.array_equal(got, W)
+        again = model.posterior_weights_batch(X, s)
+        assert not np.shares_memory(got, again)
+        assert np.array_equal(model.score_batch(X, s),
+                              (theta * (W @ Y) - X) / var)
+        assert np.array_equal(model.posterior_mean_batch(X, s), W @ Y)
+        # one row: BLAS may round a lone row apart from the batch
+        a1, W1, _, _ = _textbook_weights(model, X[3:4], s)
+        ev = model.score(X[3], s)
+        assert ev.log_density == float(
+            logsumexp(a1[0]) - np.log(ds.n_points)
+            - 0.5 * ds.dim * np.log(2.0 * np.pi * var))
+        assert np.array_equal(ev.weights, W1[0])
+        t = schedule.horizon - s
+        assert np.array_equal(model.hessian(X[3], t),
+                              _textbook_hessian(model, X[3],
+                                                schedule.horizon - t))
+        assert np.array_equal(X, X_before)
+
+
+def test_posterior_kernel_peaks_near_one_buffer(schedule):
+    B, N, D = 512, 2048, 64
+    model = ExactScoreModel(hypersphere(D, 1.0, N, seed=4), schedule)
+    X = stream(24).standard_normal((B, D))
+    tracemalloc.start()
+    try:
+        model.posterior_mean_batch(X, 0.4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * B * N * 8, f"peak {peak / 1e6:.2f} MB"
