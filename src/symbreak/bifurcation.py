@@ -11,14 +11,13 @@ from the sign change of the potential's curvature at the origin.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax
 
 from .datasets import EmpiricalDataset
 from .errors import DomainError, ShapeError
-from .exact_score import ExactScoreModel
+from .exact_score import ExactScoreModel, curvature, posterior_weights
 from .rng import stream
 
 # Eigenvalues within this relative band of zero count as marginal when
@@ -106,24 +105,6 @@ def fixed_points_1d(theta: float) -> list[FixedPoint]:
             FixedPoint(np.array([root]), "stable")]
 
 
-def _posterior_weights(dataset: EmpiricalDataset, x: np.ndarray,
-                       theta: float) -> np.ndarray:
-    var = 1.0 - theta * theta
-    d2 = np.sum((x[None, :] - theta * dataset.points) ** 2, axis=1)
-    return softmax(-d2 / (2.0 * var))
-
-
-def _curvature_matrix(dataset: EmpiricalDataset, x: np.ndarray,
-                      theta: float) -> np.ndarray:
-    """Hessian of the potential at fixed theta, up to the positive beta factor."""
-    var = 1.0 - theta * theta
-    w = _posterior_weights(dataset, x, theta)
-    Y = theta * dataset.points
-    mean = w @ Y
-    cov = (Y * w[:, None]).T @ Y - np.outer(mean, mean)
-    return (1.0 / var - 0.5) * np.eye(dataset.dim) - cov / (var * var)
-
-
 def _label_stability(eigs: np.ndarray) -> str:
     band = _EIG_BAND * max(1.0, float(np.max(np.abs(eigs))))
     has_neg = bool(np.any(eigs < -band))
@@ -157,42 +138,46 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
                          dedup: float = 1e-6) -> GeneralFixedPoints:
     """Damped self-consistency iteration from multiple starting points.
 
-    Each seed runs x <- (1-damping)*x + damping*(2 theta/(1+theta^2)) E_w[Y|x]
-    until the step norm drops below tol.  Converged points are deduplicated
-    at distance `dedup` and labeled by the eigenvalues of the analytic
-    curvature matrix.  Seeds that exhaust the budget are reported, not fatal.
+    All seeds iterate as one batch through the model's posterior kernel,
+    x <- (1-damping)*x + damping*(2 theta/(1+theta^2)) E_w[Y|x]; a seed leaves
+    the batch once its step norm drops below tol.  Converged points are
+    deduplicated at distance `dedup` in seed order and labeled by the
+    eigenvalues of the analytic curvature matrix.  Seeds that exhaust the
+    budget are reported, not fatal.
     """
     if not 0 < theta < 1:
         raise DomainError("fixed_points_general requires theta in (0, 1)")
     if not 0 < damping <= 1:
         raise DomainError("damping must lie in (0, 1]")
-    dataset = model.dataset
+    Y = model.dataset.points
     if seeds is None:
-        seeds = default_seed_points(dataset, theta)
-    gain = 2.0 * theta / (1.0 + theta * theta)
-    found: list[np.ndarray] = []
-    failed: list[int] = []
+        seeds = default_seed_points(model.dataset, theta)
+    X = np.empty((len(seeds), model.dataset.dim))
     for idx, x0 in enumerate(seeds):
-        x = np.asarray(x0, dtype=np.float64).copy()
-        if x.shape != (dataset.dim,):
+        x = np.asarray(x0, dtype=np.float64)
+        if x.shape != X.shape[1:]:
             raise ShapeError(f"seed {idx} has shape {x.shape}, "
-                             f"expected ({dataset.dim},)")
-        for _ in range(max_iter):
-            target = gain * (_posterior_weights(dataset, x, theta) @ dataset.points)
-            step = damping * (target - x)
-            x = x + step
-            if np.linalg.norm(step) < tol:
-                break
-        else:
-            failed.append(idx)
-            continue
-        if not any(np.linalg.norm(x - p) < dedup for p in found):
-            found.append(x)
+                             f"expected {X.shape[1:]}")
+        X[idx] = x
+    gain = 2.0 * theta / (1.0 + theta * theta)
+    active = np.arange(len(seeds))
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        Xa = X[active]
+        step = damping * (gain * (posterior_weights(Xa, Y, theta) @ Y) - Xa)
+        X[active] = Xa + step
+        # a NaN step never counts as converged
+        active = active[~(np.linalg.norm(step, axis=1) < tol)]
+    found: list[np.ndarray] = []
+    for idx in np.setdiff1d(np.arange(len(seeds)), active):
+        if not any(np.linalg.norm(X[idx] - p) < dedup for p in found):
+            found.append(X[idx])
     pts = tuple(
         FixedPoint(x, _label_stability(
-            np.linalg.eigvalsh(_curvature_matrix(dataset, x, theta))))
+            np.linalg.eigvalsh(curvature(x[None, :], Y, theta))))
         for x in found)
-    return GeneralFixedPoints(pts, len(seeds), tuple(failed))
+    return GeneralFixedPoints(pts, len(seeds), tuple(int(i) for i in active))
 
 
 def bifurcation_diagram_1d(theta_grid) -> list[FixedPointBranch]:

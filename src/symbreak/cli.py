@@ -34,6 +34,19 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _knee_report(grid, curve) -> dict:
+    knee = samplers.estimate_knee(grid, curve)
+    return {"s_start": knee.s_start,
+            "second_difference": knee.second_difference,
+            "low_confidence": knee.low_confidence}
+
+
 def _write_manifest(out: Path, command: str, cfg: dict, seed, threads: int,
                     outputs: list[str], t0: float) -> None:
     blob = json.dumps(cfg, sort_keys=True, default=str).encode()
@@ -51,9 +64,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed, threads: int,
             "symbreak": __version__,
         },
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 def _points_rows(path: Path, pts: np.ndarray) -> None:
@@ -76,16 +87,9 @@ def cmd_bifurcate(cfg: dict, out: Path) -> list[str]:
         report["sphere_d"] = settings["sphere_d"]
         report["sphere_r"] = settings["sphere_r"]
     if settings["sweep_csv"]:
-        grid, curve = _read_sweep_table(Path(settings["sweep_csv"]))
-        knee = samplers.estimate_knee(grid, curve)
-        report["knee"] = {
-            "s_start": knee.s_start,
-            "second_difference": knee.second_difference,
-            "low_confidence": knee.low_confidence,
-        }
-    with open(out / "critical.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        report["knee"] = _knee_report(
+            *_read_sweep_table(Path(settings["sweep_csv"])))
+    _write_json(out / "critical.json", report)
     return ["branches.csv", "critical.json"]
 
 
@@ -129,13 +133,7 @@ def cmd_sweep(cfg: dict, out: Path, seed_override) -> list[str]:
         for r in range(result.values.shape[0]):
             for i, g in enumerate(grid):
                 writer.writerow([_fmt(g), r, _fmt(result.values[r, i])])
-    knee = samplers.estimate_knee(np.asarray(grid), mean)
-    with open(out / "knee.json", "w") as fh:
-        json.dump({"s_start": knee.s_start,
-                   "second_difference": knee.second_difference,
-                   "low_confidence": knee.low_confidence},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "knee.json", _knee_report(np.asarray(grid), mean))
     return ["sweep_table.csv", "sweep_runs.csv", "knee.json"]
 
 
@@ -199,9 +197,7 @@ def cmd_dataset(cfg: dict, out: Path, action: str, seed_override) -> list[str]:
         "radius": ds.radius,
         "centered": ds.centered,
     }
-    with open(out / "inspect.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "inspect.json", report)
     print(json.dumps(report, sort_keys=True))
     return ["inspect.json"]
 

@@ -37,11 +37,8 @@ import yaml
 from . import datasets
 from .errors import ConfigError
 from .exact_score import ExactScoreModel
-from .samplers import SamplerConfig
+from .samplers import _INITS, _KINDS, SamplerConfig
 from .schedule import VpSchedule
-
-_SAMPLER_KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim", "pndm")
-_INIT_KINDS = ("standard_normal", "gls")
 
 
 def load_config(path) -> dict:
@@ -177,10 +174,7 @@ def build_sampler(cfg: dict, schedule: VpSchedule,
                   ) -> tuple[SamplerConfig, int, bool]:
     """Returns (config, batch, keep_trajectories)."""
     sec = _section(cfg, "sampler", required=True)
-    kind = _choice(sec, "sampler", "kind", _SAMPLER_KINDS, required=True)
-    if kind == "pndm":
-        raise ConfigError(
-            "sampler.kind: 'pndm' is a reserved name and is not implemented")
+    kind = _choice(sec, "sampler", "kind", _KINDS, required=True)
     s_start = parse_time_value(sec.get("s_start", 1.0), schedule,
                                "sampler.s_start")
     seed = _num(sec, "sampler", "seed", 0, integer=True, lo=0)
@@ -190,7 +184,7 @@ def build_sampler(cfg: dict, schedule: VpSchedule,
         kind=kind,
         n_steps=_num(sec, "sampler", "n_steps", required=True, integer=True, lo=1),
         s_start=s_start,
-        init=_choice(sec, "sampler", "init", _INIT_KINDS, "standard_normal"),
+        init=_choice(sec, "sampler", "init", _INITS, "standard_normal"),
         s_min=_num(sec, "sampler", "s_min", 1e-4, lo=1e-12),
         seed=seed)
     batch = _num(sec, "sampler", "batch", 1000, integer=True, lo=1)

@@ -31,6 +31,21 @@ from .errors import DomainError, ShapeError
 from .schedule import VpSchedule
 
 
+def log_kernels(X: np.ndarray, points: np.ndarray, theta: float) -> np.ndarray:
+    """Matrix a_ij = -|x_i - theta*y_j|^2 / (2 var), var = 1 - theta^2.
+
+    The posterior kernel of a (B, D) batch at signal level theta.  Every pass
+    after the GEMM runs in place on its one B x N buffer.
+    """
+    a = X @ points.T
+    a *= 2.0 * theta
+    np.subtract(np.sum(X * X, axis=1)[:, None], a, out=a)
+    a += theta * theta * np.sum(points * points, axis=1)
+    np.maximum(a, 0.0, out=a)  # guard cancellation at x ~ theta*y_j
+    np.divide(a, -2.0 * (1.0 - theta * theta), out=a)  # bit-equal to -a / (2 var)
+    return a
+
+
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
     """Row softmax of `a`, overwriting it.
 
@@ -40,6 +55,25 @@ def _softmax_rows(a: np.ndarray) -> np.ndarray:
     np.exp(a, out=a)
     a /= np.sum(a, axis=1, keepdims=True)
     return a
+
+
+def posterior_weights(X: np.ndarray, points: np.ndarray, theta: float) -> np.ndarray:
+    """Posterior weights over data points of a (B, D) batch at signal level theta."""
+    return _softmax_rows(log_kernels(X, points, theta))
+
+
+def curvature(x: np.ndarray, points: np.ndarray, theta: float) -> np.ndarray:
+    """Hessian of the potential at one (1, D) state, up to the factor beta > 0.
+
+    (1/var - 1/2) I - Cov_w[theta Y] / var^2 by the posterior-covariance
+    identity, with var = 1 - theta^2.
+    """
+    var = 1.0 - theta * theta
+    w = posterior_weights(x, points, theta)[0]
+    Y = theta * points
+    mean = w @ Y
+    cov = (Y * w[:, None]).T @ Y - np.outer(mean, mean)
+    return (1.0 / var - 0.5) * np.eye(points.shape[1]) - cov / (var * var)
 
 
 @dataclass(frozen=True)
@@ -89,19 +123,9 @@ class ExactScoreModel:
         return X
 
     def _log_kernels(self, X: np.ndarray, s: float):
-        """Matrix a_ij = -|x_i - theta*y_j|^2 / (2 var) plus (theta, var).
-
-        Every pass after the GEMM runs in place on its one B x N buffer.
-        """
+        """log_kernels at forward time s, plus (theta, var)."""
         theta, var = self._s_forward(s)
-        Y = self.dataset.points
-        a = X @ Y.T
-        a *= 2.0 * theta
-        np.subtract(np.sum(X * X, axis=1)[:, None], a, out=a)
-        a += theta * theta * np.sum(Y * Y, axis=1)
-        np.maximum(a, 0.0, out=a)  # guard cancellation at x ~ theta*y_j
-        np.divide(a, -2.0 * var, out=a)  # bit-equal to -a / (2 var)
-        return a, theta, var
+        return log_kernels(X, self.dataset.points, theta), theta, var
 
     # -- density and score -------------------------------------------------
 
@@ -168,18 +192,16 @@ class ExactScoreModel:
     def second_derivative_origin_1d(self, t: float) -> float:
         """Closed-form d^2u/dx^2 at x = 0 for the two-point dataset {-1, +1}.
 
-        Vanishes exactly at theta = sqrt(sqrt(2) - 1); negative above
-        (double well), positive below (single well).
+        laplacian_origin at d = r = 1.  Vanishes exactly at
+        theta = sqrt(sqrt(2) - 1); negative above (double well), positive
+        below (single well).
         """
         ds = self.dataset
         if ds.dim != 1 or ds.n_points != 2 or not ds.centered \
                 or abs(ds.radius - 1.0) > 1e-12:
             raise ShapeError(
                 "second_derivative_origin_1d requires the two-point dataset {-1, +1}")
-        s = self._s_of_t(t)
-        theta, var = self._s_forward(s)
-        beta = self.schedule.beta_at(s)
-        return float(-beta * (0.5 + (2.0 * theta * theta - 1.0) / (var * var)))
+        return self.laplacian_origin(t)
 
     def laplacian_origin(self, t: float) -> float:
         """Closed-form Laplacian of u at the origin for centered norm-r data.
@@ -205,11 +227,5 @@ class ExactScoreModel:
         """
         s = self._s_of_t(t)
         X = self._as_point(x)
-        a, theta, var = self._log_kernels(X, s)
-        w = _softmax_rows(a)[0]
-        beta = self.schedule.beta_at(s)
-        Y = theta * self.dataset.points
-        mean = w @ Y
-        cov = (Y * w[:, None]).T @ Y - np.outer(mean, mean)
-        d = self.dataset.dim
-        return beta * ((1.0 / var - 0.5) * np.eye(d) - cov / (var * var))
+        theta, _ = self._s_forward(s)
+        return self.schedule.beta_at(s) * curvature(X, self.dataset.points, theta)

@@ -15,7 +15,7 @@ the exact first two moments of the noised marginal at s_start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,24 +81,15 @@ def forward_sample(model: ExactScoreModel, s: float, n: int,
             + np.sqrt(var) * rng.standard_normal((n, model.dataset.dim)))
 
 
-def gls_init(model: ExactScoreModel, s_start: float, *,
-             mc_draws: int | None = None, mc_seed: int = 0) -> GaussianInit:
-    """Moment-matched Gaussian at s_start, exact by default.
-
-    mc_draws switches to a Monte Carlo moment estimate from forward draws;
-    that path exists only so tests can validate the closed form.
-    """
+def gls_init(model: ExactScoreModel, s_start: float) -> GaussianInit:
+    """Moment-matched Gaussian at s_start, with the noised marginal's exact
+    mean and covariance."""
     theta, var = model._s_forward(s_start)
     pts = model.dataset.points
-    if mc_draws is None:
-        mean = theta * pts.mean(axis=0)
-        cov = theta * theta * np.cov(pts, rowvar=False, ddof=0).reshape(
-            model.dataset.dim, model.dataset.dim) + var * np.eye(model.dataset.dim)
-    else:
-        draws = forward_sample(model, s_start, mc_draws, mc_seed)
-        mean = draws.mean(axis=0)
-        cov = np.cov(draws, rowvar=False, ddof=0).reshape(
-            model.dataset.dim, model.dataset.dim)
+    d = model.dataset.dim
+    mean = theta * pts.mean(axis=0)
+    cov = (theta * theta * np.cov(pts, rowvar=False, ddof=0).reshape(d, d)
+           + var * np.eye(d))
     jittered = False
     try:
         chol = np.linalg.cholesky(cov)

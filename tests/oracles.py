@@ -2,8 +2,9 @@
 
 Everything here is computed without touching the package's own closed
 forms: constants come from 40-digit mpmath evaluations of the defining
-expressions, and the helpers implement generic central differences and
-quadrature.  Tests compare package output against these as a second route.
+expressions, and the helpers implement generic central differences,
+quadrature, and Monte Carlo moments of exact forward draws.  Tests compare
+package output against these as a second route.
 """
 
 from __future__ import annotations
@@ -116,3 +117,12 @@ def mp_two_point_logpdf(x, s, dps=40):
             return mp.e ** (-(xm - m) ** 2 / (2 * var)) / mp.sqrt(2 * mp.pi * var)
 
         return float(mp.log(mp.mpf('0.5') * (pdf(-th) + pdf(th))))
+
+
+def mc_moments(model, s, n, seed):
+    """Monte Carlo mean and covariance of n exact draws at forward time s."""
+    from symbreak.samplers import forward_sample
+
+    draws = forward_sample(model, s, n, seed)
+    d = model.dataset.dim
+    return draws.mean(axis=0), np.cov(draws, rowvar=False, ddof=0).reshape(d, d)

@@ -6,7 +6,8 @@ from symbreak import ExactScoreModel, hypersphere, center_and_normalize
 from symbreak.bifurcation import (bifurcation_diagram_1d, critical_theta_1d,
                                   critical_theta_sphere, default_seed_points,
                                   drift_field, fixed_points_1d,
-                                  fixed_points_general, write_branches_csv)
+                                  fixed_points_general, GeneralFixedPoints,
+                                  write_branches_csv)
 from symbreak.errors import DomainError, ShapeError
 from symbreak.rng import stream
 
@@ -182,8 +183,55 @@ def test_general_solver_validation(two_point_model):
         fixed_points_general(two_point_model, 1.2)
     with pytest.raises(DomainError):
         fixed_points_general(two_point_model, 0.5, damping=0.0)
-    with pytest.raises(ShapeError):
-        fixed_points_general(two_point_model, 0.5, seeds=[np.zeros(3)])
+    for bad in ([np.zeros(3)],
+                [[0.0], [1.0, 2.0]],    # ragged
+                [[0.0, 1.0], [1.0]]):
+        with pytest.raises(ShapeError):
+            fixed_points_general(two_point_model, 0.5, seeds=bad)
+
+
+def test_general_solver_without_seeds(two_point_model):
+    assert fixed_points_general(two_point_model, 0.8, seeds=[]) == \
+        GeneralFixedPoints((), 0, ())
+
+
+def test_general_solver_reports_seeds_out_of_budget(two_point_model):
+    # the origin is an exact fixed point; a far seed needs more than 3
+    # steps, and a NaN seed never converges
+    result = fixed_points_general(two_point_model, 0.8,
+                                  [[0.0], [3.0], [np.nan]], max_iter=3)
+    assert result.failed_seeds == (1, 2)
+    assert result.n_seeds == 3
+    assert len(result.points) == 1 and result.points[0].x[0] == 0.0
+
+
+def _per_seed_runs(model, theta, seeds):
+    """fixed_points_general one seed at a time, deduplicated in seed order."""
+    found, failed = [], []
+    for idx, x0 in enumerate(seeds):
+        run = fixed_points_general(model, theta, [x0])
+        if run.failed_seeds:
+            failed.append(idx)
+        elif not any(np.linalg.norm(run.points[0].x - p.x) < 1e-6
+                     for p in found):
+            found.append(run.points[0])
+    return found, tuple(failed)
+
+
+def test_general_solver_batch_matches_per_seed_runs(sphere_model):
+    wide = ExactScoreModel(
+        center_and_normalize(hypersphere(8, 1.0, 64, seed=5), r=1.0),
+        sphere_model.schedule)
+    for model in (sphere_model, wide):
+        for theta in (0.5, 0.8, 0.95):
+            seeds = default_seed_points(model.dataset, theta)
+            batch = fixed_points_general(model, theta, seeds)
+            found, failed = _per_seed_runs(model, theta, seeds)
+            assert batch.failed_seeds == failed
+            assert [p.stability for p in batch.points] == \
+                [p.stability for p in found]
+            for p, q in zip(batch.points, found):
+                assert np.max(np.abs(p.x - q.x)) <= 1e-12
 
 
 def test_diagram_branch_structure():

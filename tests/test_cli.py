@@ -183,7 +183,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cases = [
         ("sample", {"dataset": {"kind": "two_point_1d"}}),          # no sampler
         ("sample", {**SAMPLE_CFG,
-                    "sampler": {"kind": "pndm", "n_steps": 5}}),    # reserved
+                    "sampler": {"kind": "pndm", "n_steps": 5}}),    # unknown kind
         ("sample", {"dataset": {"kind": "hypersphere", "d": 2, "n": 8,
                                 "r": -1.0}, **{k: v for k, v in
                                                SAMPLE_CFG.items()

@@ -165,7 +165,8 @@ def test_build_sampler_seed_override_wins():
 
 def test_build_sampler_pndm_is_reserved():
     cfg = {"sampler": {"kind": "pndm", "n_steps": 10}}
-    with pytest.raises(ConfigError, match="reserved name"):
+    # pndm was never implemented; it is an unknown kind like any other
+    with pytest.raises(ConfigError, match="expected one of"):
         build_sampler(cfg, VpSchedule())
 
 

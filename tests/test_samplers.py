@@ -88,21 +88,23 @@ def test_gls_init_monte_carlo_cross_check(gmm_model):
     s = 0.3
     exact = gls_init(gmm_model, s)
     n = 200000
-    mc = gls_init(gmm_model, s, mc_draws=n, mc_seed=9)
+    mean, cov = oracles.mc_moments(gmm_model, s, n, seed=9)
     # elementwise 3-sigma bands for mean and covariance entries
     sd = np.sqrt(np.diag(exact.covariance))
-    assert np.all(np.abs(mc.mean - exact.mean) < 3.0 * sd / np.sqrt(n))
+    assert np.all(np.abs(mean - exact.mean) < 3.0 * sd / np.sqrt(n))
     cov_tol = 3.0 * np.outer(sd, sd) * np.sqrt(2.0 / n)
-    assert np.all(np.abs(mc.covariance - exact.covariance) < 3.0 * cov_tol)
+    assert np.all(np.abs(cov - exact.covariance) < 3.0 * cov_tol)
 
 
-def test_gls_init_jitter_flag(gmm_model):
-    # a single draw has a zero covariance estimate: factorization needs
-    # the documented one-shot jitter
-    init = gls_init(gmm_model, 0.3, mc_draws=1)
+def test_gls_init_jitter_flag(embedded_2d_model):
+    # at s = 1e-17 the noise variance 1 - theta^2 rounds to 0, so the
+    # covariance of the line data {(-1, 0), (1, 0)} is singular: factorization
+    # needs the documented one-shot jitter
+    init = gls_init(embedded_2d_model, 1e-17)
+    assert init.covariance[1, 1] == 0.0
     assert init.jittered
     assert np.allclose(init.cholesky @ init.cholesky.T,
-                       1e-10 * np.eye(2), atol=1e-12)
+                       np.diag([1.0 + 1e-10, 1e-10]), rtol=1e-12, atol=0.0)
 
 
 def test_identical_config_reproduces_bits(two_point_model):
