@@ -73,7 +73,7 @@ def potential_scan(model: ExactScoreModel, x1_path, x2_path, alpha_grid,
     rows = np.empty((t.size, a.size))
     for i in range(t.size):
         x1, x2 = x1_path[i], x2_path[i]
-        path = cos_a[:, None] * x1 + sin_a[:, None] * x2
+        path = interpolation_path(x1, x2, a)
         tangent = -sin_a[:, None] * x1 + cos_a[:, None] * x2
         g = np.sum(model.potential_gradient_batch(path, float(t[i])) * tangent,
                    axis=1)

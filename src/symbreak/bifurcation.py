@@ -10,12 +10,11 @@ from the sign change of the potential's curvature at the origin.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import EmpiricalDataset
+from .datasets import EmpiricalDataset, write_csv
 from .errors import DomainError, ShapeError
 from .exact_score import ExactScoreModel, curvature, posterior_weights
 from .rng import stream
@@ -24,6 +23,10 @@ from .rng import stream
 # labeling stability (rings of fixed points have near-zero tangential modes).
 _EIG_BAND = 1e-9
 _NEAR_CRITICAL = 1e-12
+# fixed_points_general's damping, convergence step norm and dedup distance
+_DAMPING = 0.5
+_TOL = 1e-10
+_DEDUP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -133,22 +136,19 @@ def default_seed_points(dataset: EmpiricalDataset, theta: float,
 
 
 def fixed_points_general(model: ExactScoreModel, theta: float,
-                         seeds: list | None = None, *, damping: float = 0.5,
-                         tol: float = 1e-10, max_iter: int = 10000,
-                         dedup: float = 1e-6) -> GeneralFixedPoints:
+                         seeds: list | None = None, *,
+                         max_iter: int = 10000) -> GeneralFixedPoints:
     """Damped self-consistency iteration from multiple starting points.
 
     All seeds iterate as one batch through the model's posterior kernel,
-    x <- (1-damping)*x + damping*(2 theta/(1+theta^2)) E_w[Y|x]; a seed leaves
-    the batch once its step norm drops below tol.  Converged points are
-    deduplicated at distance `dedup` in seed order and labeled by the
+    x <- (1-d)*x + d*(2 theta/(1+theta^2)) E_w[Y|x] with d = _DAMPING; a seed
+    leaves the batch once its step norm drops below _TOL.  Converged points
+    are deduplicated at distance _DEDUP in seed order and labeled by the
     eigenvalues of the analytic curvature matrix.  Seeds that exhaust the
     budget are reported, not fatal.
     """
     if not 0 < theta < 1:
         raise DomainError("fixed_points_general requires theta in (0, 1)")
-    if not 0 < damping <= 1:
-        raise DomainError("damping must lie in (0, 1]")
     Y = model.dataset.points
     if seeds is None:
         seeds = default_seed_points(model.dataset, theta)
@@ -165,13 +165,13 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
         if not active.size:
             break
         Xa = X[active]
-        step = damping * (gain * (posterior_weights(Xa, Y, theta) @ Y) - Xa)
+        step = _DAMPING * (gain * (posterior_weights(Xa, Y, theta) @ Y) - Xa)
         X[active] = Xa + step
         # a NaN step never counts as converged
-        active = active[~(np.linalg.norm(step, axis=1) < tol)]
+        active = active[~(np.linalg.norm(step, axis=1) < _TOL)]
     found: list[np.ndarray] = []
     for idx in np.setdiff1d(np.arange(len(seeds)), active):
-        if not any(np.linalg.norm(X[idx] - p) < dedup for p in found):
+        if not any(np.linalg.norm(X[idx] - p) < _DEDUP for p in found):
             found.append(X[idx])
     pts = tuple(
         FixedPoint(x, _label_stability(
@@ -226,11 +226,7 @@ def write_branches_csv(branches: list[FixedPointBranch], path) -> None:
     if not branches:
         raise ShapeError("no branches to write")
     dim = branches[0].points.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["branch", "theta"]
-                        + [f"x_{i}" for i in range(dim)] + ["stability"])
-        for br in branches:
-            for th, x, st in zip(br.thetas, br.points, br.stability):
-                writer.writerow([br.label, format(th, ".17g")]
-                                + [format(v, ".17g") for v in x] + [st])
+    write_csv(path, ([br.label, th, *x, st] for br in branches
+                     for th, x, st in zip(br.thetas, br.points, br.stability)),
+              header=["branch", "theta"] + [f"x_{i}" for i in range(dim)]
+              + ["stability"])

@@ -22,16 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, bifurcation, config as cfgmod, samplers
+from . import (__version__, analysis, bifurcation, config as cfgmod, datasets,
+               samplers)
 from .errors import (ConfigError, DegenerateDataError, DomainError,
                      NumericalError, ParseError, ShapeError)
 
 _CONFIG_ERRORS = (ConfigError, ParseError, DomainError, ShapeError,
                   DegenerateDataError)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -67,13 +64,6 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed, threads: int,
     _write_json(out / "manifest.json", manifest)
 
 
-def _points_rows(path: Path, pts: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in np.atleast_2d(pts):
-            writer.writerow([_fmt(v) for v in row])
-
-
 def cmd_bifurcate(cfg: dict, out: Path) -> list[str]:
     settings = cfgmod.build_bifurcate(cfg)
     thetas = np.linspace(settings["theta_start"], settings["theta_stop"],
@@ -97,17 +87,15 @@ def cmd_sample(cfg: dict, out: Path, seed_override) -> list[str]:
     model = cfgmod.build_model(cfg)
     scfg, batch, keep = cfgmod.build_sampler(cfg, model.schedule, seed_override)
     run = samplers.run_sampler(model, scfg, batch, keep_trajectories=keep)
-    _points_rows(out / "finals.csv", run.finals)
+    datasets.write_csv(out / "finals.csv", run.finals)
     outputs = ["finals.csv"]
     if keep:
-        with open(out / "trajectories.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["step", "s", "chain"]
-                            + [f"x_{i}" for i in range(model.dataset.dim)])
-            for k, s in enumerate(run.s_grid):
-                for i in range(batch):
-                    writer.writerow([k, _fmt(s), i]
-                                    + [_fmt(v) for v in run.trajectories[i, k]])
+        datasets.write_csv(
+            out / "trajectories.csv",
+            ([k, s, i, *run.trajectories[i, k]]
+             for k, s in enumerate(run.s_grid) for i in range(batch)),
+            header=["step", "s", "chain"]
+            + [f"x_{i}" for i in range(model.dataset.dim)])
         outputs.append("trajectories.csv")
     return outputs
 
@@ -116,6 +104,9 @@ def cmd_sweep(cfg: dict, out: Path, seed_override) -> list[str]:
     model = cfgmod.build_model(cfg)
     scfg, batch, _ = cfgmod.build_sampler(cfg, model.schedule, seed_override)
     grid, repeats = cfgmod.build_sweep(cfg, model.schedule)
+    if len(grid) < samplers.KNEE_MIN_POINTS:  # fail before any sampling
+        raise ConfigError(f"sweep.s_start_grid: the knee estimate needs at "
+                          f"least {samplers.KNEE_MIN_POINTS} points")
     reference = model.dataset.points
     metric = lambda finals: analysis.frechet_gaussian(reference, finals).frechet
     result = samplers.late_start_sweep(
@@ -123,16 +114,12 @@ def cmd_sweep(cfg: dict, out: Path, seed_override) -> list[str]:
         batch=batch, seed=scfg.seed, repeats=repeats, s_min=scfg.s_min)
     label = cfg.get("dataset", {}).get("kind", "dataset")
     mean = result.mean()
-    with open(out / "sweep_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset"] + [f"s={g:.6g}" for g in grid])
-        writer.writerow([label] + [_fmt(v) for v in mean])
-    with open(out / "sweep_runs.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["s_start", "repeat", "frechet"])
-        for r in range(result.values.shape[0]):
-            for i, g in enumerate(grid):
-                writer.writerow([_fmt(g), r, _fmt(result.values[r, i])])
+    datasets.write_csv(out / "sweep_table.csv", [[label, *mean]],
+                       header=["dataset"] + [f"s={g:.6g}" for g in grid])
+    datasets.write_csv(out / "sweep_runs.csv",
+                       ([g, r, v] for r, row in enumerate(result.values)
+                        for g, v in zip(grid, row)),
+                       header=["s_start", "repeat", "frechet"])
     _write_json(out / "knee.json", _knee_report(np.asarray(grid), mean))
     return ["sweep_table.csv", "sweep_runs.csv", "knee.json"]
 
@@ -162,16 +149,15 @@ def cmd_scan(cfg: dict, out: Path, seed_override) -> list[str]:
     node_times = t_nodes[node_idx]
     alpha = analysis.default_alpha_grid(n_alpha)
     scan = analysis.potential_scan(model, x1, x2, alpha, node_times)
-    with open(out / "scan.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "s", "theta", "n_minima"]
-                        + [f"alpha={a:.6g}" for a in alpha])
-        for i, t in enumerate(node_times):
-            s = model.schedule.horizon - t
-            writer.writerow(
-                [_fmt(t), _fmt(s), _fmt(model.schedule.theta_at(s)),
-                 analysis.count_local_minima(scan.values[i], window)]
-                + [_fmt(v) for v in scan.values[i]])
+    # s is horizon - t, which is not always bit-equal to run.s_grid[idx]
+    horizon = model.schedule.horizon
+    datasets.write_csv(
+        out / "scan.csv",
+        ([t, horizon - t, model.schedule.theta_at(horizon - t),
+          analysis.count_local_minima(row, window), *row]
+         for t, row in zip(node_times, scan.values)),
+        header=["time", "s", "theta", "n_minima"]
+        + [f"alpha={a:.6g}" for a in alpha])
     return ["scan.csv"]
 
 
@@ -184,8 +170,7 @@ def cmd_dataset(cfg: dict, out: Path, action: str, seed_override) -> list[str]:
         cfg.setdefault("dataset", {})["normalize"] = {"radius": 1.0}
     ds = cfgmod.build_dataset(cfg)
     if action in ("generate", "normalize"):
-        from .datasets import save_csv
-        save_csv(ds, out / "points.csv")
+        datasets.save_csv(ds, out / "points.csv")
         return ["points.csv"]
     norms = np.linalg.norm(ds.points, axis=1)
     report = {
@@ -208,9 +193,10 @@ def _read_sweep_table(path: Path) -> tuple[np.ndarray, np.ndarray]:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ConfigError(f"bifurcate.sweep_csv: cannot read {path}: {exc}") from exc
-    if len(rows) < 2 or len(rows[0]) < 6:
-        raise ConfigError("bifurcate.sweep_csv: not a sweep table "
-                          "(need a header row and >= 5 s_start columns)")
+    if len(rows) < 2 or len(rows[0]) < 1 + samplers.KNEE_MIN_POINTS:
+        raise ConfigError("bifurcate.sweep_csv: not a sweep table (need a "
+                          f"header row and >= {samplers.KNEE_MIN_POINTS} "
+                          "s_start columns)")
     try:
         grid = np.array([float(h.split("=", 1)[1]) for h in rows[0][1:]])
         curve = np.array([float(v) for v in rows[1][1:]])

@@ -30,6 +30,7 @@ than 1 are treated as indices.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import yaml
@@ -79,6 +80,8 @@ def _num(sec: dict, section: str, key: str, default=None, *, lo=None, hi=None,
     if integer and not isinstance(v, numbers.Integral):
         raise ConfigError(f"{section}.{key}: must be an integer, got {v!r}")
     v = int(v) if integer else float(v)
+    if not math.isfinite(v):  # NaN would pass the lo/hi checks below
+        raise ConfigError(f"{section}.{key}: must be finite, got {v}")
     if lo is not None and v < lo:
         raise ConfigError(f"{section}.{key}: must be >= {lo}, got {v}")
     if hi is not None and v > hi:

@@ -126,12 +126,22 @@ def center_and_normalize(dataset: EmpiricalDataset, r: float = 1.0,
         f"center_and_normalize did not converge in {max_iter} iterations")
 
 
-def save_csv(dataset: EmpiricalDataset, path) -> None:
-    """Write one point per row, no header, 17 significant digits, LF endings."""
+def write_csv(path, rows, header=()) -> None:
+    """The one artifact CSV format: LF endings, float cells (np.float64
+    included) at 17 significant digits so they read back exactly, every
+    other cell as the csv module writes it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in dataset.points:
-            writer.writerow([format(v, ".17g") for v in row])
+        if header:
+            writer.writerow(header)
+        # float(v) first: np.float64 formats slower than a Python float
+        writer.writerows([format(float(v), ".17g") if isinstance(v, float)
+                          else v for v in row] for row in rows)
+
+
+def save_csv(dataset: EmpiricalDataset, path) -> None:
+    """Write one point per row, no header."""
+    write_csv(path, dataset.points)
 
 
 def load_csv(path) -> EmpiricalDataset:

@@ -129,12 +129,16 @@ class ExactScoreModel:
 
     # -- density and score -------------------------------------------------
 
-    def mixture_logpdf_batch(self, X, s: float) -> np.ndarray:
-        X = self._as_batch(X)
-        a, _, var = self._log_kernels(X, s)
+    def _logpdf_of_kernels(self, a: np.ndarray, var: float) -> np.ndarray:
+        """Mixture log-density per row of log-kernels a at variance var."""
         n, d = self.dataset.n_points, self.dataset.dim
         return (logsumexp(a, axis=1) - np.log(n)
                 - 0.5 * d * np.log(2.0 * np.pi * var))
+
+    def mixture_logpdf_batch(self, X, s: float) -> np.ndarray:
+        X = self._as_batch(X)
+        a, _, var = self._log_kernels(X, s)
+        return self._logpdf_of_kernels(a, var)
 
     def mixture_logpdf(self, x, s: float) -> float:
         return float(self.mixture_logpdf_batch(self._as_point(x), s)[0])
@@ -160,9 +164,7 @@ class ExactScoreModel:
     def score(self, x, s: float) -> ScoreEval:
         X = self._as_point(x)
         a, theta, var = self._log_kernels(X, s)
-        n, d = self.dataset.n_points, self.dataset.dim
-        logpdf = (logsumexp(a, axis=1) - np.log(n)
-                  - 0.5 * d * np.log(2.0 * np.pi * var))
+        logpdf = self._logpdf_of_kernels(a, var)
         W = _softmax_rows(a)  # after logsumexp: this overwrites a
         sc = (theta * (W @ self.dataset.points) - X) / var
         return ScoreEval(float(logpdf[0]), sc[0], W[0])

@@ -27,6 +27,7 @@ from .rng import chain_normals, stream
 
 _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
 _INITS = ("standard_normal", "gls")
+KNEE_MIN_POINTS = 5  # fewest grid points estimate_knee accepts
 
 
 @dataclass(frozen=True)
@@ -263,8 +264,9 @@ def estimate_knee(s_start_grid, metric_values) -> KneeEstimate:
     y = np.asarray(metric_values, dtype=np.float64)
     if s.shape != y.shape or s.ndim != 1:
         raise ShapeError("grid and values must be 1D arrays of equal length")
-    if s.size < 5:
-        raise DomainError("estimate_knee requires at least 5 grid points")
+    if s.size < KNEE_MIN_POINTS:
+        raise DomainError(
+            f"estimate_knee requires at least {KNEE_MIN_POINTS} grid points")
     h_lo = s[1:-1] - s[:-2]
     h_hi = s[2:] - s[1:-1]
     d2 = 2.0 * ((y[2:] - y[1:-1]) / h_hi - (y[1:-1] - y[:-2]) / h_lo) / (h_hi + h_lo)

@@ -181,8 +181,6 @@ def test_default_seed_points_cover_origin_and_data(two_point_model):
 def test_general_solver_validation(two_point_model):
     with pytest.raises(DomainError):
         fixed_points_general(two_point_model, 1.2)
-    with pytest.raises(DomainError):
-        fixed_points_general(two_point_model, 0.5, damping=0.0)
     for bad in ([np.zeros(3)],
                 [[0.0], [1.0, 2.0]],    # ragged
                 [[0.0, 1.0], [1.0]]):

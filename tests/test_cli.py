@@ -189,11 +189,46 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                                SAMPLE_CFG.items()
                                                if k == "sampler"}}),
         ("sweep", SAMPLE_CFG),                                      # no sweep
+        ("bifurcate", {"bifurcate": {"sphere_d": 3,
+                                     "sphere_r": float("nan")}}),   # NaN
     ]
     for command, cfg in cases:
         code, _ = run_cli(tmp_path, command, cfg)
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_short_sweep_grid_exits_2_before_sampling(tmp_path, capsys):
+    cfg = {**SAMPLE_CFG, "sweep": {"s_start_grid": [0.2, 0.6, 1.0]}}
+    code, out = run_cli(tmp_path, "sweep", cfg)
+    assert code == 2
+    assert "sweep.s_start_grid" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("bifurcate", {"bifurcate": {"theta_count": 8, "sphere_d": 2,
+                                 "sphere_r": 1.0}}),
+    ("sample", SAMPLE_CFG),
+    ("sample", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
+                                          "trajectories": True}}),
+    ("sweep", {**SAMPLE_CFG,
+               "sweep": {"s_start_grid": [0.2, 0.4, 0.6, 0.8, 1.0]}}),
+    ("scan", {"dataset": {"kind": "two_point_1d"},
+              "sampler": {"kind": "stochastic_sde", "n_steps": 20, "batch": 4},
+              "scan": {"times": [0.5], "n_alpha": 21}}),
+    (["dataset", "generate"], {"dataset": {"kind": "hypersphere", "d": 2,
+                                           "n": 5}}),
+    (["dataset", "normalize"], {"dataset": {"kind": "hypersphere", "d": 2,
+                                            "n": 5}}),
+    (["dataset", "inspect"], {"dataset": {"kind": "two_point_1d"}}),
+])
+def test_manifest_lists_every_output(tmp_path, command, cfg):
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert sorted(outputs) == sorted(written)
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):

@@ -230,3 +230,14 @@ def test_build_bifurcate_validation():
         build_bifurcate({"bifurcate": {"theta_start": 0.9, "theta_stop": 0.5}})
     with pytest.raises(ConfigError, match=r"sweep_csv"):
         build_bifurcate({"bifurcate": {"sweep_csv": 7}})
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_non_finite_numbers_are_rejected(tmp_path, value):
+    # NaN compares false against every bound, so range checks alone pass it
+    cfg = load_config(_write(tmp_path, f"bifurcate: {{sphere_d: 3, sphere_r: {value}}}\n"))
+    with pytest.raises(ConfigError, match=r"bifurcate\.sphere_r: must be finite"):
+        build_bifurcate(cfg)
+    cfg = load_config(_write(tmp_path, f"bifurcate: {{theta_stop: {value}}}\n"))
+    with pytest.raises(ConfigError, match=r"bifurcate\.theta_stop: must be finite"):
+        build_bifurcate(cfg)

@@ -3,6 +3,7 @@ import pytest
 
 from symbreak import (EmpiricalDataset, center_and_normalize, gaussian_mixture,
                       hypersphere, load_csv, save_csv, two_point_1d)
+from symbreak.datasets import write_csv
 from symbreak.errors import (DegenerateDataError, DomainError, ParseError,
                              ShapeError)
 
@@ -113,6 +114,28 @@ def test_csv_format_is_plain_lf(tmp_path):
     save_csv(two_point_1d(), path)
     raw = path.read_bytes()
     assert raw == b"-1\n1\n"
+
+
+def test_write_csv_cell_formats(tmp_path):
+    path = tmp_path / "cells.csv"
+    row = [np.float64(1 / 3), 0.1, 7, np.int64(-3), "a b", -0.0, 1e-310]
+    body = b"0.33333333333333331,0.10000000000000001,7,-3,a b,-0,9.9999999999999694e-311\n"
+    write_csv(path, [row], header=["f64", "float", "int", "i64", "str",
+                                   "neg_zero", "subnormal"])
+    assert path.read_bytes() == (
+        b"f64,float,int,i64,str,neg_zero,subnormal\n" + body)
+    write_csv(path, [row, row])
+    assert path.read_bytes() == body + body
+
+
+def test_write_csv_reads_back_exactly(tmp_path):
+    path = tmp_path / "pts.csv"
+    values = np.array([[1 / 3, 0.1, -0.0, 1e-310],
+                       [np.pi, -1e300, 5e-324, 7.0]])
+    write_csv(path, values)
+    back = load_csv(path).points
+    assert np.array_equal(back, values)
+    assert np.signbit(back[0, 2])
 
 
 def test_load_csv_error_messages(tmp_path):
