@@ -27,6 +27,7 @@ _NEAR_CRITICAL = 1e-12
 _DAMPING = 0.5
 _TOL = 1e-10
 _DEDUP = 1e-6
+_N_RANDOM_SEEDS = 8  # random-direction starts in default_seed_points
 
 
 @dataclass(frozen=True)
@@ -119,15 +120,15 @@ def _label_stability(eigs: np.ndarray) -> str:
     return "stable"
 
 
-def default_seed_points(dataset: EmpiricalDataset, theta: float,
-                        n_random: int = 8, seed: int = 0) -> list[np.ndarray]:
-    """Origin, each data point scaled by theta, and random directions at the
-    dataset's mean radius scaled by theta."""
+def default_seed_points(dataset: EmpiricalDataset,
+                        theta: float) -> list[np.ndarray]:
+    """Origin, each data point scaled by theta, and _N_RANDOM_SEEDS random
+    directions from stream(0) at the dataset's mean radius scaled by theta."""
     pts = [np.zeros(dataset.dim)]
     pts += [theta * y for y in dataset.points]
     rbar = float(np.mean(np.linalg.norm(dataset.points, axis=1)))
-    rng = stream(seed)
-    for _ in range(n_random):
+    rng = stream(0)
+    for _ in range(_N_RANDOM_SEEDS):
         v = rng.standard_normal(dataset.dim)
         nrm = np.linalg.norm(v)
         if nrm > 0:

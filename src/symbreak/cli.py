@@ -24,11 +24,7 @@ import numpy as np
 
 from . import (__version__, analysis, bifurcation, config as cfgmod, datasets,
                samplers)
-from .errors import (ConfigError, DegenerateDataError, DomainError,
-                     NumericalError, ParseError, ShapeError)
-
-_CONFIG_ERRORS = (ConfigError, ParseError, DomainError, ShapeError,
-                  DegenerateDataError)
+from .errors import ConfigError, NumericalError, SymbreakError
 
 
 def _write_json(path: Path, obj) -> None:
@@ -66,10 +62,6 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed, threads: int,
 
 def cmd_bifurcate(cfg: dict, out: Path) -> list[str]:
     settings = cfgmod.build_bifurcate(cfg)
-    thetas = np.linspace(settings["theta_start"], settings["theta_stop"],
-                         settings["theta_count"])
-    branches = bifurcation.bifurcation_diagram_1d(thetas)
-    bifurcation.write_branches_csv(branches, out / "branches.csv")
     report = {"theta_c_1d": bifurcation.critical_theta_1d()}
     if settings["sphere_d"] is not None:
         report["theta_star_sphere"] = bifurcation.critical_theta_sphere(
@@ -79,6 +71,11 @@ def cmd_bifurcate(cfg: dict, out: Path) -> list[str]:
     if settings["sweep_csv"]:
         report["knee"] = _knee_report(
             *_read_sweep_table(Path(settings["sweep_csv"])))
+    # build the whole report first, so a bad sweep table fails before any write
+    thetas = np.linspace(settings["theta_start"], settings["theta_stop"],
+                         settings["theta_count"])
+    bifurcation.write_branches_csv(bifurcation.bifurcation_diagram_1d(thetas),
+                                   out / "branches.csv")
     _write_json(out / "critical.json", report)
     return ["branches.csv", "critical.json"]
 
@@ -252,12 +249,12 @@ def main(argv=None) -> int:
             outputs = cmd_dataset(cfg, out, args.action, args.seed)
         _write_manifest(out, args.command, cfg, args.seed, args.threads,
                         outputs, t0)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except SymbreakError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

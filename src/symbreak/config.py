@@ -36,7 +36,7 @@ import numbers
 import yaml
 
 from . import datasets
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .exact_score import ExactScoreModel
 from .samplers import _INITS, _KINDS, SamplerConfig
 from .schedule import VpSchedule
@@ -48,7 +48,7 @@ def load_config(path) -> dict:
             cfg = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad date, huge int
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if cfg is None:
         cfg = {}
@@ -68,20 +68,41 @@ def _section(cfg: dict, name: str, required: bool) -> dict:
     return sec
 
 
+def _number(v, field: str) -> float:
+    """v as a finite float; ConfigError naming the field otherwise."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ConfigError(f"{field}: must be a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{field}: integer out of range") from None
+    if not math.isfinite(x):  # NaN would pass every range check
+        raise ConfigError(f"{field}: must be finite, got {x}")
+    return x
+
+
+def _numbers(sec: dict, section: str, key: str) -> list[float]:
+    """The optional list sec[key], each entry checked by _number."""
+    raw = sec.get(key)
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        raise ConfigError(f"{section}.{key}: must be a list")
+    return [_number(v, f"{section}.{key}") for v in raw]
+
+
 def _num(sec: dict, section: str, key: str, default=None, *, lo=None, hi=None,
          integer=False, required=False):
     if key not in sec:
         if required:
             raise ConfigError(f"{section}.{key}: required")
         return default
-    v = sec[key]
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ConfigError(f"{section}.{key}: must be a number, got {v!r}")
-    if integer and not isinstance(v, numbers.Integral):
-        raise ConfigError(f"{section}.{key}: must be an integer, got {v!r}")
-    v = int(v) if integer else float(v)
-    if not math.isfinite(v):  # NaN would pass the lo/hi checks below
-        raise ConfigError(f"{section}.{key}: must be finite, got {v}")
+    raw = sec[key]
+    v = _number(raw, f"{section}.{key}")
+    if integer:
+        if not isinstance(raw, numbers.Integral):
+            raise ConfigError(f"{section}.{key}: must be an integer, got {raw!r}")
+        v = int(raw)
     if lo is not None and v < lo:
         raise ConfigError(f"{section}.{key}: must be >= {lo}, got {v}")
     if hi is not None and v > hi:
@@ -114,12 +135,9 @@ def build_schedule(cfg: dict) -> VpSchedule:
 
 def parse_time_value(value, schedule: VpSchedule, field: str) -> float:
     """Float forward time in (0, 1], or an integer index on the reference grid."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{field}: must be a number, got {value!r}")
+    s = _number(value, field)
     if isinstance(value, numbers.Integral) and value > 1:
-        s = float(value) / schedule.n_steps
-    else:
-        s = float(value)
+        s /= schedule.n_steps
     if not 0 < s <= schedule.horizon:
         raise ConfigError(
             f"{field}: {value!r} maps to s={s:.6g}, outside (0, {schedule.horizon}]")
@@ -212,37 +230,25 @@ def build_sweep(cfg: dict, schedule: VpSchedule) -> tuple[list[float], int]:
 def build_scan(cfg: dict, schedule: VpSchedule) -> tuple[list[float], int, int]:
     """Returns (generative times, n_alpha, smoothing_window)."""
     sec = _section(cfg, "scan", required=True)
-    times: list[float] = []
-    raw_times = sec.get("times")
-    if raw_times is not None:
-        if not isinstance(raw_times, list):
-            raise ConfigError("scan.times: must be a list")
-        for v in raw_times:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ConfigError(f"scan.times: must be numbers, got {v!r}")
-            t = float(v)
-            if not 0 <= t < schedule.horizon:
-                raise ConfigError(
-                    f"scan.times: {v!r} outside [0, {schedule.horizon})")
-            times.append(t)
-    raw_thetas = sec.get("theta_targets")
-    if raw_thetas is not None:
-        if not isinstance(raw_thetas, list):
-            raise ConfigError("scan.theta_targets: must be a list")
-        for v in raw_thetas:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ConfigError(f"scan.theta_targets: must be numbers, got {v!r}")
-            try:
-                s = schedule.invert_theta(float(v))
-            except Exception as exc:
-                raise ConfigError(f"scan.theta_targets: {v!r}: {exc}") from exc
-            times.append(schedule.horizon - s)
+    times = _numbers(sec, "scan", "times")
+    for t in times:
+        if not 0 <= t < schedule.horizon:
+            raise ConfigError(f"scan.times: {t!r} outside [0, {schedule.horizon})")
+    for theta in _numbers(sec, "scan", "theta_targets"):
+        try:
+            s = schedule.invert_theta(theta)
+        except DomainError as exc:
+            raise ConfigError(f"scan.theta_targets: {theta!r}: {exc}") from exc
+        times.append(schedule.horizon - s)
     if not times:
         raise ConfigError("scan: provide times and/or theta_targets")
     n_alpha = _num(sec, "scan", "n_alpha", 141, integer=True, lo=5)
     window = _num(sec, "scan", "smoothing_window", 3, integer=True, lo=1)
     if window % 2 == 0:
         raise ConfigError("scan.smoothing_window: must be odd")
+    if n_alpha < 2 * window + 1:  # count_local_minima's need; fail before sampling
+        raise ConfigError(f"scan.n_alpha: must be >= 2 * smoothing_window + 1 "
+                          f"= {2 * window + 1}, got {n_alpha}")
     return times, n_alpha, window
 
 

@@ -19,6 +19,7 @@ from .errors import (ConvergenceError, DegenerateDataError, DomainError,
 from .rng import stream
 
 _CERT_TOL = 1e-9
+_NORMALIZE_ROUNDS = 100  # center_and_normalize's iteration budget
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,11 @@ def hypersphere(d: int, r: float, n: int, seed: int) -> EmpiricalDataset:
 
 def gaussian_mixture(centers, std: float, n_per_mode: int, seed: int) -> EmpiricalDataset:
     """n_per_mode isotropic Gaussian draws around each center, concatenated."""
-    centers = np.asarray(centers, dtype=np.float64)
+    try:
+        centers = np.asarray(centers, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+        raise ShapeError(
+            f"centers must be a (K, D) array of numbers: {exc}") from exc
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ShapeError("centers must be a nonempty (K, D) array")
     if std < 0:
@@ -99,8 +104,8 @@ def gaussian_mixture(centers, std: float, n_per_mode: int, seed: int) -> Empiric
     return EmpiricalDataset(np.vstack(blocks))
 
 
-def center_and_normalize(dataset: EmpiricalDataset, r: float = 1.0,
-                         max_iter: int = 100) -> EmpiricalDataset:
+def center_and_normalize(dataset: EmpiricalDataset,
+                         r: float = 1.0) -> EmpiricalDataset:
     """Project the points onto {zero mean} and {norm r} alternately.
 
     The two constraints are generally not simultaneously satisfiable in one
@@ -110,7 +115,7 @@ def center_and_normalize(dataset: EmpiricalDataset, r: float = 1.0,
     if r <= 0:
         raise DomainError("center_and_normalize requires r > 0")
     pts = np.array(dataset.points, dtype=np.float64)
-    for _ in range(max_iter):
+    for _ in range(_NORMALIZE_ROUNDS):
         pts = pts - pts.mean(axis=0)
         norms = np.linalg.norm(pts, axis=1)
         if np.any(norms == 0.0):
@@ -123,7 +128,7 @@ def center_and_normalize(dataset: EmpiricalDataset, r: float = 1.0,
         if drift < _CERT_TOL * scale and norm_err < _CERT_TOL * r:
             return EmpiricalDataset(pts, radius=r, centered=True)
     raise ConvergenceError(
-        f"center_and_normalize did not converge in {max_iter} iterations")
+        f"center_and_normalize did not converge in {_NORMALIZE_ROUNDS} iterations")
 
 
 def write_csv(path, rows, header=()) -> None:

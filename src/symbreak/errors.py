@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, NumericalError
-subclasses -> 3. Library callers can catch the narrower types.
+The CLI maps these onto exit codes: NumericalError subclasses -> 3, every
+other SymbreakError -> 2. Library callers can catch the narrower types.
 """
 
 

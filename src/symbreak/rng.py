@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+from .errors import DomainError
 
 
 def _key(seed: int, index: int) -> np.ndarray:
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    if index < 0:
-        raise ValueError("stream index must be a nonnegative integer")
-    return np.array([np.uint64(seed) & _MASK64, np.uint64(index) & _MASK64],
-                    dtype=np.uint64)
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed}")
+    if not 0 <= index < 2 ** 64:
+        raise DomainError(
+            f"stream index must be an integer in [0, 2**64), got {index}")
+    return np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:

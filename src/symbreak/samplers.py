@@ -267,6 +267,8 @@ def estimate_knee(s_start_grid, metric_values) -> KneeEstimate:
     if s.size < KNEE_MIN_POINTS:
         raise DomainError(
             f"estimate_knee requires at least {KNEE_MIN_POINTS} grid points")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
+        raise DomainError("estimate_knee requires a finite grid and values")
     h_lo = s[1:-1] - s[:-2]
     h_hi = s[2:] - s[1:-1]
     d2 = 2.0 * ((y[2:] - y[1:-1]) / h_hi - (y[1:-1] - y[:-2]) / h_lo) / (h_hi + h_lo)

@@ -1,15 +1,17 @@
 """Variance-preserving noise schedule with a linear noise-rate ramp.
 
 The forward process is dY = -0.5*beta(s)*Y ds + sqrt(beta(s)) dW on
-s in [0, T].  Its transition kernel is Normal(theta(s)*y0, (1-theta(s)^2)*I)
+s in [0, 1].  Its transition kernel is Normal(theta(s)*y0, (1-theta(s)^2)*I)
 with theta(s) = exp(-0.5 * integral_0^s beta(u) du), which is available in
-closed form for the linear ramp used here.  Time is continuous with T = 1;
-step indices on a 1000-step discretization map to s = index / 1000.
+closed form for the linear ramp used here.  Time is continuous on the fixed
+unit horizon: forward time s in [0, 1], generative time t = 1 - s; step
+indices on a 1000-step discretization map to s = index / 1000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,15 +29,13 @@ class VpSchedule:
     beta_min: float = 0.1
     beta_max: float = 20.0
     n_steps: int = 1000
-    horizon: float = 1.0
+    horizon: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not 0 < self.beta_min <= self.beta_max:
             raise DomainError("schedule requires 0 < beta_min <= beta_max")
         if self.n_steps < 2:
             raise DomainError("schedule n_steps must be >= 2")
-        if self.horizon <= 0:
-            raise DomainError("schedule horizon must be positive")
 
     def _check_time(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -46,7 +46,7 @@ class VpSchedule:
     def beta_at(self, s):
         """Noise rate at forward time s."""
         s = self._check_time(s)
-        out = self.beta_min + (s / self.horizon) * (self.beta_max - self.beta_min)
+        out = self.beta_min + s * (self.beta_max - self.beta_min)
         return float(out) if out.ndim == 0 else out
 
     def theta_at(self, s):
@@ -54,9 +54,9 @@ class VpSchedule:
 
         Decreasing in s; theta(0) = 1.
         """
-        s = self._check_time(s) / self.horizon
+        s = self._check_time(s)
         expo = -0.25 * s * s * (self.beta_max - self.beta_min) - 0.5 * s * self.beta_min
-        out = np.exp(expo * self.horizon)
+        out = np.exp(expo)
         return float(out) if out.ndim == 0 else out
 
     def invert_theta(self, theta: float) -> float:
@@ -71,16 +71,16 @@ class VpSchedule:
                 f"theta must lie in [{theta_end:.6g}, 1] to be invertible")
         if theta == 1.0:
             return 0.0
-        # Solve (dbeta/4) u^2 + (beta_min/2) u + ln(theta)/T = 0 for u = s/T.
+        # Solve (dbeta/4) s^2 + (beta_min/2) s + ln(theta) = 0 for s.
         dbeta = self.beta_max - self.beta_min
-        c = np.log(theta) / self.horizon
+        c = np.log(theta)
         if dbeta == 0.0:
-            u = -2.0 * c / self.beta_min
+            s = -2.0 * c / self.beta_min
         else:
             a = 0.25 * dbeta
             b = 0.5 * self.beta_min
-            u = (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-        return float(np.clip(u, 0.0, 1.0) * self.horizon)
+            s = (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+        return float(np.clip(s, 0.0, 1.0))
 
     def discrete_grid(self, n_sub: int, s_start: float) -> np.ndarray:
         """Equally spaced forward times from s_start down to 0, n_sub+1 nodes."""

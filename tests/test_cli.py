@@ -206,6 +206,44 @@ def test_short_sweep_grid_exits_2_before_sampling(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+SWEEP_HEADER = "dataset,s=0.2,s=0.4,s=0.6,s=0.8,s=1\n"
+
+
+@pytest.mark.parametrize("command, cfg, extra, table", [
+    ("sample", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
+                                          "seed": 2 ** 64}}, [], None),
+    ("sample", SAMPLE_CFG, ["--seed", str(2 ** 64)], None),
+    (["dataset", "generate"], {"dataset": {"kind": "hypersphere", "d": 2,
+                                           "n": 5, "seed": 2 ** 64}}, [], None),
+    ("sample", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
+                                          "s_min": 10 ** 400}}, [], None),
+    ("sample", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
+                                          "s_start": 10 ** 400}}, [], None),
+    (["dataset", "generate"], {"dataset": {
+        "kind": "gaussian_mixture", "centers": [[1.0, 2.0], [3.0]],
+        "std": 0.1, "n_per_mode": 2}}, [], None),
+    (["dataset", "generate"], {"dataset": {
+        "kind": "gaussian_mixture", "centers": [["a", 2.0]],
+        "std": 0.1, "n_per_mode": 2}}, [], None),
+    ("bifurcate", {}, [], "x,5,1,nan,1,1\n"),
+    ("bifurcate", {}, [], "x,5,1,inf,1,1\n"),
+    ("scan", {**SAMPLE_CFG, "scan": {"times": [0.5], "n_alpha": 5,
+                                     "smoothing_window": 3}}, [], None),
+], ids=["sampler_seed", "flag_seed", "dataset_seed", "huge_s_min",
+        "huge_s_start", "ragged_centers", "text_center", "nan_sweep_table",
+        "inf_sweep_table", "short_scan_grid"])
+def test_bad_inputs_exit_2_before_writing(tmp_path, capsys, command, cfg,
+                                          extra, table):
+    if table is not None:
+        path = tmp_path / "sweep_table.csv"
+        path.write_text(SWEEP_HEADER + table)
+        cfg = {"bifurcate": {"theta_count": 8, "sweep_csv": str(path)}}
+    code, out = run_cli(tmp_path, command, cfg, *extra)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("bifurcate", {"bifurcate": {"theta_count": 8, "sphere_d": 2,
                                  "sphere_r": 1.0}}),

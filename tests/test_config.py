@@ -26,6 +26,9 @@ def test_load_config_empty_file_is_empty_mapping(tmp_path):
 def test_load_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "missing.yaml")
+    for text in ("a: 2020-13-45\n", "a: " + "9" * 5000 + "\n"):
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(_write(tmp_path, text))
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(_write(tmp_path, "a: [1, 2\n"))
     with pytest.raises(ConfigError, match="root must be a mapping"):
@@ -69,6 +72,8 @@ def test_parse_time_value_rejects_bad_input(schedule):
         parse_time_value(True, schedule, "f")
     with pytest.raises(ConfigError, match="must be a number"):
         parse_time_value("0.5", schedule, "f")
+    with pytest.raises(ConfigError, match="out of range"):
+        parse_time_value(10 ** 400, schedule, "f")
 
 
 def test_build_dataset_two_point():
@@ -179,6 +184,9 @@ def test_build_sampler_rejects_bad_fields():
     with pytest.raises(ConfigError, match="expected one of"):
         build_sampler({"sampler": {"kind": "ddim", "n_steps": 5,
                                    "init": "warm"}}, VpSchedule())
+    with pytest.raises(ConfigError, match=r"sampler\.s_min: .* out of range"):
+        build_sampler({"sampler": {"kind": "ddim", "n_steps": 5,
+                                   "s_min": 10 ** 400}}, VpSchedule())
 
 
 def test_build_sweep_parses_mixed_notations():
@@ -212,6 +220,17 @@ def test_build_scan_validation(schedule):
         build_scan({"scan": {"theta_targets": [1.5]}}, schedule)
     with pytest.raises(ConfigError, match="must be odd"):
         build_scan({"scan": {"times": [0.5], "smoothing_window": 4}}, schedule)
+    for bad in (True, "0.5", float("nan"), 10 ** 400):
+        with pytest.raises(ConfigError, match=r"scan\.times"):
+            build_scan({"scan": {"times": [0.5, bad]}}, schedule)
+        with pytest.raises(ConfigError, match=r"scan\.theta_targets"):
+            build_scan({"scan": {"theta_targets": [bad]}}, schedule)
+    with pytest.raises(ConfigError, match=r"scan\.theta_targets: must be a list"):
+        build_scan({"scan": {"theta_targets": 0.9}}, schedule)
+    # count_local_minima needs 2 * smoothing_window + 1 alpha points
+    with pytest.raises(ConfigError, match=r"scan\.n_alpha"):
+        build_scan({"scan": {"times": [0.5], "n_alpha": 5}}, schedule)
+    assert build_scan({"scan": {"times": [0.5], "n_alpha": 7}}, schedule)[1] == 7
 
 
 def test_build_bifurcate_defaults_and_sphere_rule():

@@ -76,6 +76,10 @@ def test_gaussian_mixture_zero_std_sits_on_centers():
 def test_gaussian_mixture_validation():
     with pytest.raises(ShapeError):
         gaussian_mixture(np.empty((0, 2)), 0.1, 4, 0)
+    with pytest.raises(ShapeError):
+        gaussian_mixture([[1.0, 2.0], [3.0]], 0.1, 4, 0)  # ragged
+    with pytest.raises(ShapeError):
+        gaussian_mixture([["a", 2.0]], 0.1, 4, 0)
     with pytest.raises(DomainError):
         gaussian_mixture([[0.0]], -0.1, 4, 0)
     with pytest.raises(DomainError):

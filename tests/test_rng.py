@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symbreak.errors import DomainError
 from symbreak.rng import chain_normals, stream
 
 
@@ -42,6 +43,17 @@ def test_negative_arguments_rejected():
         stream(-1)
     with pytest.raises(ValueError):
         stream(0, -2)
+
+
+def test_keys_must_fit_64_bits():
+    top = 2 ** 64 - 1
+    assert np.array_equal(stream(top, top).standard_normal(3),
+                          stream(top, top).standard_normal(3))
+    for seed, index in ((2 ** 64, 0), (0, 2 ** 64), (10 ** 40, 1)):
+        with pytest.raises(DomainError):
+            stream(seed, index)
+    with pytest.raises(DomainError):
+        chain_normals(2 ** 64, 2, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 32 + 1, 2 ** 63 + 11])

@@ -327,3 +327,12 @@ def test_knee_needs_five_points():
         estimate_knee([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ShapeError):
         estimate_knee([0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_knee_rejects_non_finite_input(bad):
+    s = [0.2, 0.4, 0.6, 0.8, 1.0]
+    with pytest.raises(DomainError):
+        estimate_knee(s, [5.0, 1.0, bad, 1.0, 1.0])
+    with pytest.raises(DomainError):
+        estimate_knee([0.2, 0.4, bad, 0.8, 1.0], [5.0, 1.0, 1.0, 1.0, 1.0])

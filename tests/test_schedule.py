@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,17 +75,6 @@ def test_flat_schedule_inverts_linearly():
     assert sched.invert_theta(np.exp(-0.25)) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_nonunit_horizon_is_consistent():
-    sched = VpSchedule(horizon=2.0)
-    # the ramp runs over [0, 2]; theta at the end matches the unit-horizon
-    # exponent scaled by the horizon
-    assert sched.beta_at(2.0) == pytest.approx(20.0, rel=1e-15)
-    assert sched.theta_at(2.0) == pytest.approx(oracles.THETA_AT_1 ** 2,
-                                                rel=1e-12)
-    assert sched.invert_theta(sched.theta_at(1.3)) == pytest.approx(1.3,
-                                                                    abs=1e-10)
-
-
 def test_discrete_grid_shape_and_endpoints(schedule):
     g = schedule.discrete_grid(10, 0.8)
     assert g.shape == (11,)
@@ -111,8 +102,14 @@ def test_constructor_validation():
         VpSchedule(beta_min=2.0, beta_max=1.0)
     with pytest.raises(DomainError):
         VpSchedule(n_steps=1)
-    with pytest.raises(DomainError):
-        VpSchedule(horizon=0.0)
+
+
+def test_horizon_is_fixed():
+    # the unit horizon is a class constant, not a constructor argument
+    with pytest.raises(TypeError):
+        VpSchedule(horizon=2.0)
+    assert len(dataclasses.fields(VpSchedule)) == 3
+    assert VpSchedule().horizon == 1.0
 
 
 @settings(max_examples=60, deadline=None)
