@@ -28,6 +28,7 @@ _DAMPING = 0.5
 _TOL = 1e-10
 _DEDUP = 1e-6
 _N_RANDOM_SEEDS = 8  # random-direction starts in default_seed_points
+_MAX_ITER = 10000  # fixed_points_general's iteration budget per call
 
 
 @dataclass(frozen=True)
@@ -54,14 +55,13 @@ class GeneralFixedPoints:
 
 def critical_theta_1d() -> float:
     """Signal level where the origin loses stability for the {-1,+1} dataset."""
-    return float(np.sqrt(np.sqrt(2.0) - 1.0))
+    return critical_theta_sphere(1, 1.0)
 
 
 def critical_theta_sphere(d: int, r: float) -> float:
     """Origin sign-flip level for centered radius-r data in d dimensions.
 
-    sqrt((sqrt(d^2 + r^4) - r^2) / d); reduces to critical_theta_1d at
-    d = r = 1.
+    sqrt((sqrt(d^2 + r^4) - r^2) / d).
     """
     if d < 1:
         raise DomainError("critical_theta_sphere requires d >= 1")
@@ -137,8 +137,7 @@ def default_seed_points(dataset: EmpiricalDataset,
 
 
 def fixed_points_general(model: ExactScoreModel, theta: float,
-                         seeds: list | None = None, *,
-                         max_iter: int = 10000) -> GeneralFixedPoints:
+                         seeds: list | None = None) -> GeneralFixedPoints:
     """Damped self-consistency iteration from multiple starting points.
 
     All seeds iterate as one batch through the model's posterior kernel,
@@ -146,7 +145,7 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
     leaves the batch once its step norm drops below _TOL.  Converged points
     are deduplicated at distance _DEDUP in seed order and labeled by the
     eigenvalues of the analytic curvature matrix.  Seeds that exhaust the
-    budget are reported, not fatal.
+    _MAX_ITER budget are reported, not fatal.
     """
     if not 0 < theta < 1:
         raise DomainError("fixed_points_general requires theta in (0, 1)")
@@ -162,7 +161,7 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
         X[idx] = x
     gain = 2.0 * theta / (1.0 + theta * theta)
     active = np.arange(len(seeds))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if not active.size:
             break
         Xa = X[active]
@@ -186,23 +185,20 @@ def bifurcation_diagram_1d(theta_grid) -> list[FixedPointBranch]:
     thetas = np.asarray(theta_grid, dtype=np.float64)
     if thetas.ndim != 1 or thetas.size == 0:
         raise ShapeError("theta_grid must be a nonempty 1D array")
-    zero_st, up_t, up_x, lo_t, lo_x = [], [], [], [], []
+    zero_st, split_t, up_x, lo_x = [], [], [], []
     for th in thetas:
-        pts = fixed_points_1d(float(th))
-        by_sign = {float(np.sign(p.x[0])): p for p in pts}
-        zero_st.append(by_sign[0.0].stability)
-        if 1.0 in by_sign:
-            up_t.append(th)
-            up_x.append(by_sign[1.0].x)
-            lo_t.append(th)
-            lo_x.append(by_sign[-1.0].x)
+        pts = fixed_points_1d(float(th))  # [origin] or [lower, origin, upper]
+        zero_st.append(pts[len(pts) // 2].stability)
+        if len(pts) == 3:
+            split_t.append(th)
+            lo_x.append(pts[0].x)
+            up_x.append(pts[2].x)
     branches = [FixedPointBranch("zero", thetas.copy(),
                                  np.zeros((thetas.size, 1)), tuple(zero_st))]
-    if up_t:
-        branches.append(FixedPointBranch(
-            "upper", np.array(up_t), np.array(up_x), ("stable",) * len(up_t)))
-        branches.append(FixedPointBranch(
-            "lower", np.array(lo_t), np.array(lo_x), ("stable",) * len(lo_t)))
+    if split_t:
+        for label, xs in (("upper", up_x), ("lower", lo_x)):
+            branches.append(FixedPointBranch(label, np.array(split_t), np.array(xs),
+                                             ("stable",) * len(split_t)))
     return branches
 
 

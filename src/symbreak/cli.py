@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import (__version__, analysis, bifurcation, config as cfgmod, datasets,
-               samplers)
+               rng, samplers)
 from .errors import ConfigError, NumericalError, SymbreakError
 
 
@@ -80,9 +80,9 @@ def cmd_bifurcate(cfg: dict, out: Path) -> list[str]:
     return ["branches.csv", "critical.json"]
 
 
-def cmd_sample(cfg: dict, out: Path, seed_override) -> list[str]:
+def cmd_sample(cfg: dict, out: Path) -> list[str]:
     model = cfgmod.build_model(cfg)
-    scfg, batch, keep = cfgmod.build_sampler(cfg, model.schedule, seed_override)
+    scfg, batch, keep = cfgmod.build_sampler(cfg, model.schedule)
     run = samplers.run_sampler(model, scfg, batch, keep_trajectories=keep)
     datasets.write_csv(out / "finals.csv", run.finals)
     outputs = ["finals.csv"]
@@ -97,9 +97,9 @@ def cmd_sample(cfg: dict, out: Path, seed_override) -> list[str]:
     return outputs
 
 
-def cmd_sweep(cfg: dict, out: Path, seed_override) -> list[str]:
+def cmd_sweep(cfg: dict, out: Path) -> list[str]:
     model = cfgmod.build_model(cfg)
-    scfg, batch, _ = cfgmod.build_sampler(cfg, model.schedule, seed_override)
+    scfg, batch, _ = cfgmod.build_sampler(cfg, model.schedule)
     grid, repeats = cfgmod.build_sweep(cfg, model.schedule)
     if len(grid) < samplers.KNEE_MIN_POINTS:  # fail before any sampling
         raise ConfigError(f"sweep.s_start_grid: the knee estimate needs at "
@@ -133,9 +133,9 @@ def _anchor_pair(model, run) -> tuple[int, int]:
     return first, second
 
 
-def cmd_scan(cfg: dict, out: Path, seed_override) -> list[str]:
+def cmd_scan(cfg: dict, out: Path) -> list[str]:
     model = cfgmod.build_model(cfg)
-    scfg, batch, _ = cfgmod.build_sampler(cfg, model.schedule, seed_override)
+    scfg, batch, _ = cfgmod.build_sampler(cfg, model.schedule)
     times, n_alpha, window = cfgmod.build_scan(cfg, model.schedule)
     run = samplers.run_sampler(model, scfg, batch, keep_trajectories=True)
     t_nodes = model.schedule.horizon - run.s_grid
@@ -158,13 +158,7 @@ def cmd_scan(cfg: dict, out: Path, seed_override) -> list[str]:
     return ["scan.csv"]
 
 
-def cmd_dataset(cfg: dict, out: Path, action: str, seed_override) -> list[str]:
-    if seed_override is not None:
-        sec = cfg.get("dataset")
-        if isinstance(sec, dict):
-            sec["seed"] = seed_override
-    if action == "normalize" and "normalize" not in cfg.get("dataset", {}):
-        cfg.setdefault("dataset", {})["normalize"] = {"radius": 1.0}
+def cmd_dataset(cfg: dict, out: Path, action: str) -> list[str]:
     ds = cfgmod.build_dataset(cfg)
     if action in ("generate", "normalize"):
         datasets.save_csv(ds, out / "points.csv")
@@ -232,21 +226,31 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
         cfg = cfgmod.load_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at the path or on the way to it
+            raise ConfigError(f"--out: cannot create {out}: {exc}") from exc
+        if args.seed is not None:
+            rng.check_seed(args.seed, "--seed")
+        # the manifest's config is what ran; bifurcate draws nothing random
+        sec = cfg.get("dataset" if args.command == "dataset" else "sampler")
+        if isinstance(sec, dict) and args.command != "bifurcate":
+            if args.seed is not None:
+                sec["seed"] = args.seed
+            if getattr(args, "action", None) == "normalize":
+                sec.setdefault("normalize", {"radius": 1.0})
         if args.command == "bifurcate":
             outputs = cmd_bifurcate(cfg, out)
         elif args.command == "sample":
-            outputs = cmd_sample(cfg, out, args.seed)
+            outputs = cmd_sample(cfg, out)
         elif args.command == "sweep":
-            outputs = cmd_sweep(cfg, out, args.seed)
+            outputs = cmd_sweep(cfg, out)
         elif args.command == "scan":
-            outputs = cmd_scan(cfg, out, args.seed)
+            outputs = cmd_scan(cfg, out)
         else:
-            outputs = cmd_dataset(cfg, out, args.action, args.seed)
+            outputs = cmd_dataset(cfg, out, args.action)
         _write_manifest(out, args.command, cfg, args.seed, args.threads,
                         outputs, t0)
     except NumericalError as exc:

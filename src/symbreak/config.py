@@ -190,24 +190,20 @@ def build_model(cfg: dict) -> ExactScoreModel:
     return ExactScoreModel(build_dataset(cfg), build_schedule(cfg))
 
 
-def build_sampler(cfg: dict, schedule: VpSchedule,
-                  seed_override: int | None = None
+def build_sampler(cfg: dict, schedule: VpSchedule
                   ) -> tuple[SamplerConfig, int, bool]:
     """Returns (config, batch, keep_trajectories)."""
     sec = _section(cfg, "sampler", required=True)
     kind = _choice(sec, "sampler", "kind", _KINDS, required=True)
     s_start = parse_time_value(sec.get("s_start", 1.0), schedule,
                                "sampler.s_start")
-    seed = _num(sec, "sampler", "seed", 0, integer=True, lo=0)
-    if seed_override is not None:
-        seed = seed_override
     config = SamplerConfig(
         kind=kind,
         n_steps=_num(sec, "sampler", "n_steps", required=True, integer=True, lo=1),
         s_start=s_start,
         init=_choice(sec, "sampler", "init", _INITS, "standard_normal"),
         s_min=_num(sec, "sampler", "s_min", 1e-4, lo=1e-12),
-        seed=seed)
+        seed=_num(sec, "sampler", "seed", 0, integer=True, lo=0))
     batch = _num(sec, "sampler", "batch", 1000, integer=True, lo=1)
     keep = sec.get("trajectories", False)
     if not isinstance(keep, bool):

@@ -10,22 +10,33 @@ on any platform and under any thread count.
 standard normals of many consecutive streams at once, as the samplers do
 for their chains: row i is still exactly stream (seed, i), but one Philox
 is re-keyed per row instead of building a new Generator per row.
+
+The seed rule lives here alone: a seed or stream index is an integer, not a
+bool, in [0, 2**64), the width of one Philox key word.  `check_seed`
+applies it; `SamplerConfig` and the CLI's --seed call it too, so a value
+such as 1.5, True or 2**64 is rejected instead of truncated.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
 from .errors import DomainError
 
 
+def check_seed(value, name: str = "seed") -> int:
+    """value as a Philox key word; DomainError naming `name` otherwise."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < 2 ** 64):
+        raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
+
 def _key(seed: int, index: int) -> np.ndarray:
-    if not 0 <= seed < 2 ** 64:
-        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed}")
-    if not 0 <= index < 2 ** 64:
-        raise DomainError(
-            f"stream index must be an integer in [0, 2**64), got {index}")
-    return np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
+    return np.array([check_seed(seed), check_seed(index, "stream index")],
+                    dtype=np.uint64)
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:

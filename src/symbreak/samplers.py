@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (DivergedError, DomainError, FactorizationError,
                      ShapeError)
 from .exact_score import ExactScoreModel
-from .rng import chain_normals, stream
+from .rng import chain_normals, check_seed, stream
 
 _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
 _INITS = ("standard_normal", "gls")
@@ -50,8 +50,7 @@ class SamplerConfig:
             raise DomainError("n_steps must be >= 1")
         if not 0 < self.s_min < self.s_start:
             raise DomainError("need 0 < s_min < s_start")
-        if self.seed < 0:
-            raise DomainError("seed must be nonnegative")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -159,21 +158,20 @@ def _run(model: ExactScoreModel, config: SamplerConfig, batch: int,
             dt = s - s_next
             X = (X + beta * (model.score_batch(X, s) + 0.5 * X) * dt
                  + np.sqrt(beta * dt) * noise[:, i])
-        elif config.kind == "ancestral_ddpm":
-            th, th_next = sched.theta_at(s), sched.theta_at(s_next)
-            abar, abar_next = th * th, th_next * th_next
-            alpha_step = abar / abar_next
-            beta_step = 1.0 - alpha_step
-            x0 = model.posterior_mean_batch(X, s)
-            mean = (np.sqrt(abar_next) * beta_step * x0
-                    + np.sqrt(alpha_step) * (1.0 - abar_next) * X) / (1.0 - abar)
-            std = np.sqrt(beta_step * (1.0 - abar_next) / (1.0 - abar))
-            X = mean + std * noise[:, i]
-        else:  # ddim
+        else:
             th, th_next = sched.theta_at(s), sched.theta_at(s_next)
             x0 = model.posterior_mean_batch(X, s)
-            eps = (X - th * x0) / np.sqrt(1.0 - th * th)
-            X = th_next * x0 + np.sqrt(1.0 - th_next * th_next) * eps
+            if config.kind == "ancestral_ddpm":
+                abar, abar_next = th * th, th_next * th_next
+                alpha_step = abar / abar_next
+                beta_step = 1.0 - alpha_step
+                mean = (np.sqrt(abar_next) * beta_step * x0
+                        + np.sqrt(alpha_step) * (1.0 - abar_next) * X) / (1.0 - abar)
+                std = np.sqrt(beta_step * (1.0 - abar_next) / (1.0 - abar))
+                X = mean + std * noise[:, i]
+            else:  # ddim
+                eps = (X - th * x0) / np.sqrt(1.0 - th * th)
+                X = th_next * x0 + np.sqrt(1.0 - th_next * th_next) * eps
         _check_finite(X, i)
         if traj is not None:
             traj[:, i + 1] = X
@@ -269,6 +267,8 @@ def estimate_knee(s_start_grid, metric_values) -> KneeEstimate:
             f"estimate_knee requires at least {KNEE_MIN_POINTS} grid points")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
         raise DomainError("estimate_knee requires a finite grid and values")
+    if np.any(s[1:] <= s[:-1]):  # a repeat divides by zero, a shuffle is meaningless
+        raise DomainError("estimate_knee requires a strictly increasing grid")
     h_lo = s[1:-1] - s[:-2]
     h_hi = s[2:] - s[1:-1]
     d2 = 2.0 * ((y[2:] - y[1:-1]) / h_hi - (y[1:-1] - y[:-2]) / h_lo) / (h_hi + h_lo)

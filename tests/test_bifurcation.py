@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from symbreak import ExactScoreModel, hypersphere, center_and_normalize
+from symbreak import (ExactScoreModel, bifurcation, center_and_normalize,
+                      hypersphere)
 from symbreak.bifurcation import (bifurcation_diagram_1d, critical_theta_1d,
                                   critical_theta_sphere, default_seed_points,
                                   drift_field, fixed_points_1d,
@@ -193,11 +194,13 @@ def test_general_solver_without_seeds(two_point_model):
         GeneralFixedPoints((), 0, ())
 
 
-def test_general_solver_reports_seeds_out_of_budget(two_point_model):
+def test_general_solver_reports_seeds_out_of_budget(two_point_model,
+                                                    monkeypatch):
     # the origin is an exact fixed point; a far seed needs more than 3
     # steps, and a NaN seed never converges
+    monkeypatch.setattr(bifurcation, "_MAX_ITER", 3)
     result = fixed_points_general(two_point_model, 0.8,
-                                  [[0.0], [3.0], [np.nan]], max_iter=3)
+                                  [[0.0], [3.0], [np.nan]])
     assert result.failed_seeds == (1, 2)
     assert result.n_seeds == 3
     assert len(result.points) == 1 and result.points[0].x[0] == 0.0

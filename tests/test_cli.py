@@ -213,6 +213,8 @@ SWEEP_HEADER = "dataset,s=0.2,s=0.4,s=0.6,s=0.8,s=1\n"
     ("sample", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
                                           "seed": 2 ** 64}}, [], None),
     ("sample", SAMPLE_CFG, ["--seed", str(2 ** 64)], None),
+    ("bifurcate", {"bifurcate": {"theta_count": 8}}, ["--seed", str(2 ** 64)],
+     None),
     (["dataset", "generate"], {"dataset": {"kind": "hypersphere", "d": 2,
                                            "n": 5, "seed": 2 ** 64}}, [], None),
     ("sample", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
@@ -225,18 +227,24 @@ SWEEP_HEADER = "dataset,s=0.2,s=0.4,s=0.6,s=0.8,s=1\n"
     (["dataset", "generate"], {"dataset": {
         "kind": "gaussian_mixture", "centers": [["a", 2.0]],
         "std": 0.1, "n_per_mode": 2}}, [], None),
-    ("bifurcate", {}, [], "x,5,1,nan,1,1\n"),
-    ("bifurcate", {}, [], "x,5,1,inf,1,1\n"),
+    ("bifurcate", {}, [], SWEEP_HEADER + "x,5,1,nan,1,1\n"),
+    ("bifurcate", {}, [], SWEEP_HEADER + "x,5,1,inf,1,1\n"),
+    ("bifurcate", {}, [], "dataset,s=0.2,s=0.2,s=0.6,s=0.8,s=1\nx,5,1,1,1,1\n"),
     ("scan", {**SAMPLE_CFG, "scan": {"times": [0.5], "n_alpha": 5,
                                      "smoothing_window": 3}}, [], None),
-], ids=["sampler_seed", "flag_seed", "dataset_seed", "huge_s_min",
-        "huge_s_start", "ragged_centers", "text_center", "nan_sweep_table",
-        "inf_sweep_table", "short_scan_grid"])
+    (["dataset", "normalize"], {"dataset": [1, 2]}, [], None),
+    (["dataset", "normalize"], {"dataset": "abc"}, [], None),
+    (["dataset", "normalize"], {"dataset": None}, [], None),
+], ids=["sampler_seed", "flag_seed", "bifurcate_flag_seed", "dataset_seed",
+        "huge_s_min", "huge_s_start", "ragged_centers", "text_center",
+        "nan_sweep_table", "inf_sweep_table", "repeated_sweep_column",
+        "short_scan_grid", "normalize_list_dataset", "normalize_text_dataset",
+        "normalize_empty_dataset"])
 def test_bad_inputs_exit_2_before_writing(tmp_path, capsys, command, cfg,
                                           extra, table):
     if table is not None:
         path = tmp_path / "sweep_table.csv"
-        path.write_text(SWEEP_HEADER + table)
+        path.write_text(table)
         cfg = {"bifurcate": {"theta_count": 8, "sweep_csv": str(path)}}
     code, out = run_cli(tmp_path, command, cfg, *extra)
     assert code == 2
@@ -267,6 +275,31 @@ def test_manifest_lists_every_output(tmp_path, command, cfg):
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     written = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert sorted(outputs) == sorted(written)
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me\n")
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(SAMPLE_CFG))
+    out = blocker / "sub" if below else blocker
+    code = main(["sample", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert blocker.read_text() == "keep me\n"
+
+
+def test_seed_flag_equals_config_seed(tmp_path):
+    # --seed is written into the config, so the run equals the config seed
+    flagged = {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"], "seed": 3}}
+    configured = {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"], "seed": 99}}
+    _, out1 = run_cli(tmp_path, "sample", flagged, "--seed", "99")
+    _, out2 = run_cli(tmp_path, "sample", configured)
+    assert (out1 / "finals.csv").read_bytes() == (out2 / "finals.csv").read_bytes()
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["config"]["sampler"]["seed"] == 99
+    assert manifest["seed_override"] == 99
 
 
 def test_bad_flags_exit_2(tmp_path, capsys):

@@ -162,12 +162,6 @@ def test_build_sampler_full_section():
     assert batch == 20 and keep is True
 
 
-def test_build_sampler_seed_override_wins():
-    cfg = {"sampler": {"kind": "ddim", "n_steps": 10, "seed": 3}}
-    sc, _, _ = build_sampler(cfg, VpSchedule(), seed_override=99)
-    assert sc.seed == 99
-
-
 def test_build_sampler_pndm_is_reserved():
     cfg = {"sampler": {"kind": "pndm", "n_steps": 10}}
     # pndm was never implemented; it is an unknown kind like any other

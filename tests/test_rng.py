@@ -76,6 +76,19 @@ def test_chain_normals_split_matches_two_draws():
         assert np.array_equal(z[i, d:].reshape(n, d), rng.standard_normal((n, d)))
 
 
+@pytest.mark.parametrize("bad", [1.5, np.float64(2.0), True])
+def test_keys_must_be_integers(bad):
+    # a float or bool key word would be truncated (1.5 -> 1, True -> 1)
+    with pytest.raises(DomainError):
+        stream(bad)
+    with pytest.raises(DomainError):
+        stream(0, bad)
+    with pytest.raises(DomainError):
+        chain_normals(bad, 2, 3)
+    assert np.array_equal(stream(np.int64(3), np.uint64(2)).standard_normal(3),
+                          stream(3, 2).standard_normal(3))
+
+
 def test_chain_normals_rejects_negative_seed():
     with pytest.raises(ValueError):
         chain_normals(-1, 3, 2)

@@ -22,8 +22,9 @@ def test_config_validation():
         SamplerConfig(kind="ddim", n_steps=0, s_start=1.0)
     with pytest.raises(DomainError):
         SamplerConfig(kind="ddim", n_steps=10, s_start=1.0, s_min=2.0)
-    with pytest.raises(DomainError):
-        SamplerConfig(kind="ddim", n_steps=10, s_start=1.0, seed=-1)
+    for seed in (-1, 2 ** 64, 1.5):  # the rng seed rule, checked at construction
+        with pytest.raises(DomainError):
+            SamplerConfig(kind="ddim", n_steps=10, s_start=1.0, seed=seed)
 
 
 def test_kind_dispatch_is_strict(two_point_model):
@@ -327,6 +328,13 @@ def test_knee_needs_five_points():
         estimate_knee([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ShapeError):
         estimate_knee([0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("grid", [[0.2, 0.2, 0.4, 0.6, 0.8],
+                                  [0.2, 0.6, 0.4, 0.8, 1.0]])
+def test_knee_rejects_unsorted_grid(grid):
+    with pytest.raises(DomainError, match="strictly increasing"):
+        estimate_knee(grid, [5.0, 1.0, 1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
