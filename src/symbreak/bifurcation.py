@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import EmpiricalDataset, write_csv
 from .errors import DomainError, ShapeError
-from .exact_score import ExactScoreModel, curvature, posterior_weights
+from .exact_score import ExactScoreModel, curvature, posterior
 from .rng import stream
 
 # Eigenvalues within this relative band of zero count as marginal when
@@ -165,7 +165,7 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
         if not active.size:
             break
         Xa = X[active]
-        step = _DAMPING * (gain * (posterior_weights(Xa, Y, theta) @ Y) - Xa)
+        step = _DAMPING * (gain * posterior(Xa, Y, theta).mean - Xa)
         X[active] = Xa + step
         # a NaN step never counts as converged
         active = active[~(np.linalg.norm(step, axis=1) < _TOL)]

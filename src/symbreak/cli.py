@@ -28,9 +28,10 @@ from .errors import ConfigError, NumericalError, SymbreakError
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # serialize first, so a value json cannot encode leaves no partial file;
+    # default=str writes YAML dates and the like as the config hash sees them
+    text = json.dumps(obj, indent=2, sort_keys=True, default=str)
+    path.write_text(text + "\n")
 
 
 def _knee_report(grid, curve) -> dict:

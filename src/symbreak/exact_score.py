@@ -7,8 +7,9 @@ empirical dataset {y_j} is the Gaussian mixture
 
 so the score, the generative potential, and all its derivatives are
 available in closed form.  Posterior weights over data points are softmax
-of -|x - theta*y_j|^2 / (2*(1-theta^2)); every log-density goes through
-max-subtracted log-sum-exp so saturated regimes (theta near 1) stay finite.
+of -|x - theta*y_j|^2 / (2*(1-theta^2)); `posterior` evaluates them, their
+mean and their max-subtracted log-sum-exp in one pass, so saturated regimes
+(theta near 1) stay finite.
 
 The potential u(x, t) at generative time t (forward time s = T - t) is
 
@@ -24,42 +25,77 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .datasets import EmpiricalDataset
 from .errors import DomainError, ShapeError
 from .schedule import VpSchedule
 
 
-def log_kernels(X: np.ndarray, points: np.ndarray, theta: float) -> np.ndarray:
-    """Matrix a_ij = -|x_i - theta*y_j|^2 / (2 var), var = 1 - theta^2.
+# Most kernel entries one call holds at a time (1 MB of float64): a call
+# walks its rows in blocks of max(1, _BLOCK_ENTRIES // N) through one buffer.
+_BLOCK_ENTRIES = 2 ** 17
 
-    The posterior kernel of a (B, D) batch at signal level theta.  Every pass
-    after the GEMM runs in place on its one B x N buffer.
+
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """|x|^2 per row, without a (B, D) temporary."""
+    return np.einsum("ij,ij->i", X, X)
+
+
+@dataclass(frozen=True)
+class Posterior:
+    """One pass of the posterior kernel over a (B, D) batch.
+
+    log_norm is logsumexp_j of the shifted logits
+    (theta/var) x.y_j - theta^2 |y_j|^2 / (2 var); the log-kernels
+    -|x - theta*y_j|^2 / (2 var) sum to log_norm - |x|^2 / (2 var).
     """
-    a = X @ points.T
-    a *= 2.0 * theta
-    np.subtract(np.sum(X * X, axis=1)[:, None], a, out=a)
-    a += theta * theta * np.sum(points * points, axis=1)
-    np.maximum(a, 0.0, out=a)  # guard cancellation at x ~ theta*y_j
-    np.divide(a, -2.0 * (1.0 - theta * theta), out=a)  # bit-equal to -a / (2 var)
-    return a
+
+    log_norm: np.ndarray  # (B,)
+    mean: np.ndarray | None  # (B, D) posterior mean E_w[y], if asked for
+    weights: np.ndarray | None  # (B, N) posterior weights, if asked for
 
 
-def _softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row softmax of `a`, overwriting it.
+def posterior(X: np.ndarray, points: np.ndarray, theta: float, *,
+              mean: bool = True, weights: bool = False) -> Posterior:
+    """The posterior kernel of a (B, D) batch at signal level theta.
 
-    The shift-then-exp sequence of scipy.special.softmax, so the bytes match.
+    Softmax is shift-invariant per row, so the logits drop the row constant
+    -|x|^2 / (2 var): one GEMM against the pre-scaled points plus a per-point
+    vector.  Each row is shifted by its max, exponentiated in place and
+    summed; the mean divides the (B, D) product by the row sums.  Rows go in
+    blocks of at most _BLOCK_ENTRIES entries through one reused buffer, or
+    straight into the returned weights.
     """
-    a -= np.max(a, axis=1, keepdims=True)
-    np.exp(a, out=a)
-    a /= np.sum(a, axis=1, keepdims=True)
-    return a
-
-
-def posterior_weights(X: np.ndarray, points: np.ndarray, theta: float) -> np.ndarray:
-    """Posterior weights over data points of a (B, D) batch at signal level theta."""
-    return _softmax_rows(log_kernels(X, points, theta))
+    B, N = X.shape[0], points.shape[0]
+    var = 1.0 - theta * theta
+    scaled_t = ((theta / var) * points).T
+    bias = (-0.5 * theta * theta / var) * _sq_norms(points)
+    log_norm = np.empty(B)
+    M = None
+    W = np.empty((B, N)) if weights else None
+    k = max(1, min(B, _BLOCK_ENTRIES // N))
+    buf = None if weights else np.empty((k, N))
+    for lo in range(0, B, k):
+        hi = min(lo + k, B)
+        e = W[lo:hi] if weights else buf[:hi - lo]
+        np.matmul(X[lo:hi], scaled_t, out=e)
+        e += bias
+        top = np.max(e, axis=1, out=log_norm[lo:hi])  # the row max, for now
+        e -= top[:, None]
+        np.exp(e, out=e)
+        z = np.sum(e, axis=1, keepdims=True)
+        if mean:
+            if M is None:  # after the broadcasts, each of which holds numpy's
+                # 64 KB ufunc buffer: a one-block call then peaks lower
+                M = np.empty((B, points.shape[1]))
+            np.matmul(e, points, out=M[lo:hi])
+            M[lo:hi] /= z
+        if weights:
+            e /= z
+        top += np.log(z[:, 0])
+    if mean and M is None:  # an empty batch
+        M = np.empty((0, points.shape[1]))
+    return Posterior(log_norm, M, W)
 
 
 def curvature(x: np.ndarray, points: np.ndarray, theta: float) -> np.ndarray:
@@ -69,9 +105,10 @@ def curvature(x: np.ndarray, points: np.ndarray, theta: float) -> np.ndarray:
     identity, with var = 1 - theta^2.
     """
     var = 1.0 - theta * theta
-    w = posterior_weights(x, points, theta)[0]
+    post = posterior(x, points, theta, weights=True)
+    w = post.weights[0]
     Y = theta * points
-    mean = w @ Y
+    mean = theta * post.mean[0]
     cov = (Y * w[:, None]).T @ Y - np.outer(mean, mean)
     return (1.0 / var - 0.5) * np.eye(points.shape[1]) - cov / (var * var)
 
@@ -122,61 +159,64 @@ class ExactScoreModel:
                 f"expected one state, got {X.shape[0]}; use the _batch method")
         return X
 
-    def _log_kernels(self, X: np.ndarray, s: float):
-        """log_kernels at forward time s, plus (theta, var)."""
+    def _posterior(self, X: np.ndarray, s: float, **want):
+        """posterior at forward time s, plus (theta, var)."""
         theta, var = self._s_forward(s)
-        return log_kernels(X, self.dataset.points, theta), theta, var
+        return posterior(X, self.dataset.points, theta, **want), theta, var
 
     # -- density and score -------------------------------------------------
 
-    def _logpdf_of_kernels(self, a: np.ndarray, var: float) -> np.ndarray:
-        """Mixture log-density per row of log-kernels a at variance var."""
+    def _logpdf(self, X: np.ndarray, post: Posterior, var: float) -> np.ndarray:
+        """Mixture log-density per row of X: the row constant added back."""
         n, d = self.dataset.n_points, self.dataset.dim
-        return (logsumexp(a, axis=1) - np.log(n)
-                - 0.5 * d * np.log(2.0 * np.pi * var))
+        return (post.log_norm - _sq_norms(X) / (2.0 * var)
+                - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * var))
 
     def mixture_logpdf_batch(self, X, s: float) -> np.ndarray:
         X = self._as_batch(X)
-        a, _, var = self._log_kernels(X, s)
-        return self._logpdf_of_kernels(a, var)
+        post, _, var = self._posterior(X, s, mean=False)
+        return self._logpdf(X, post, var)
 
     def mixture_logpdf(self, x, s: float) -> float:
         return float(self.mixture_logpdf_batch(self._as_point(x), s)[0])
 
     def posterior_weights_batch(self, X, s: float) -> np.ndarray:
         X = self._as_batch(X)
-        a, _, _ = self._log_kernels(X, s)
-        return _softmax_rows(a)
+        post, _, _ = self._posterior(X, s, mean=False, weights=True)
+        return post.weights
 
     def score_batch(self, X, s: float) -> np.ndarray:
         """Gradient of log p(x, s) wrt x: sum_j w_j (theta*y_j - x) / var."""
         X = self._as_batch(X)
-        a, theta, var = self._log_kernels(X, s)
-        W = _softmax_rows(a)
-        return (theta * (W @ self.dataset.points) - X) / var
+        post, theta, var = self._posterior(X, s)
+        sc = post.mean  # (theta * mean - X) / var, in place
+        sc *= theta
+        sc -= X
+        sc /= var
+        return sc
 
     def posterior_mean_batch(self, X, s: float) -> np.ndarray:
         """Denoiser output E[Y0 | x at time s] = sum_j w_j y_j."""
         X = self._as_batch(X)
-        a, _, _ = self._log_kernels(X, s)
-        return _softmax_rows(a) @ self.dataset.points
+        post, _, _ = self._posterior(X, s)
+        return post.mean
 
     def score(self, x, s: float) -> ScoreEval:
         X = self._as_point(x)
-        a, theta, var = self._log_kernels(X, s)
-        logpdf = self._logpdf_of_kernels(a, var)
-        W = _softmax_rows(a)  # after logsumexp: this overwrites a
-        sc = (theta * (W @ self.dataset.points) - X) / var
-        return ScoreEval(float(logpdf[0]), sc[0], W[0])
+        post, theta, var = self._posterior(X, s, weights=True)
+        sc = (theta * post.mean - X) / var
+        return ScoreEval(float(self._logpdf(X, post, var)[0]), sc[0],
+                         post.weights[0])
 
     # -- potential and curvature -------------------------------------------
 
     def potential_batch(self, X, t: float) -> np.ndarray:
         s = self._s_of_t(t)
         X = self._as_batch(X)
-        a, _, _ = self._log_kernels(X, s)
+        post, _, var = self._posterior(X, s, mean=False)
         beta = self.schedule.beta_at(s)
-        return beta * (-0.25 * np.sum(X * X, axis=1) - logsumexp(a, axis=1))
+        # -|x|^2/4 minus the log-kernel sum, log_norm - |x|^2 / (2 var)
+        return beta * ((0.5 / var - 0.25) * _sq_norms(X) - post.log_norm)
 
     def potential(self, x, t: float) -> float:
         return float(self.potential_batch(self._as_point(x), t)[0])

@@ -134,7 +134,10 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
 
 
 def _check_finite(X: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(X)):
+    # The posterior kernel's shifted logits stay finite far past any sane
+    # state, so a row whose squared norm overflows counts as diverged too;
+    # a non-finite entry makes its row's squared norm non-finite as well.
+    if not np.all(np.isfinite(np.einsum("ij,ij->i", X, X))):
         raise DivergedError(f"sampler state became non-finite at step {step}")
 
 
@@ -233,6 +236,8 @@ def late_start_sweep(model: ExactScoreModel, kind: str, n_steps: int,
         raise ShapeError("s_start_grid must be a nonempty 1D array")
     if repeats < 1:
         raise DomainError("repeats must be >= 1")
+    check_seed(seed)
+    check_seed(seed + repeats - 1, "seed + repeats - 1")  # before any sampling
     values = np.empty((repeats, grid.size))
     for r in range(repeats):
         for i, s0 in enumerate(grid):

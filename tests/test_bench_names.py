@@ -34,3 +34,21 @@ def test_traced_methods_resolve(spans):
 
 def test_stream_users_import_stream(spans):
     assert [m.__name__ for m in spans.STREAM_USERS if not hasattr(m, "stream")] == []
+
+
+@pytest.mark.parametrize("kind", ["stochastic_sde", "ancestral_ddpm", "ddim"])
+def test_sampler_makes_one_kernel_pass_per_step(spans, kind):
+    # the tracer counts a call per kernel method; a method that quietly made
+    # a second pass through another would count twice
+    from symbreak import (ExactScoreModel, SamplerConfig, VpSchedule,
+                          run_sampler, two_point_1d)
+    model = ExactScoreModel(two_point_1d(), VpSchedule())
+    cfg = SamplerConfig(kind=kind, n_steps=7, s_start=0.8)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        run_sampler(model, cfg, 5)
+    assert tracer.metrics()["exact_score.calls"] == cfg.n_steps + 1
+    tracer = spans.Tracer()
+    with tracer.installed():
+        model.score([0.3], 0.5)
+    assert tracer.metrics()["exact_score.calls"] == 1

@@ -42,6 +42,15 @@ def test_sample_writes_finals_and_manifest(tmp_path):
     assert "numpy" in manifest["versions"]
 
 
+def test_yaml_date_in_config_is_written_as_text(tmp_path):
+    cfg_path = tmp_path / "dated.yaml"
+    cfg_path.write_text(yaml.safe_dump(SAMPLE_CFG) + "note: 2020-01-01\n")
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["note"] == "2020-01-01"
+
+
 def test_sample_is_byte_reproducible_across_threads(tmp_path):
     _, out1 = run_cli(tmp_path, "sample", SAMPLE_CFG)
     _, out2 = run_cli(tmp_path, "sample", SAMPLE_CFG, "--threads", "4")
@@ -235,11 +244,15 @@ SWEEP_HEADER = "dataset,s=0.2,s=0.4,s=0.6,s=0.8,s=1\n"
     (["dataset", "normalize"], {"dataset": [1, 2]}, [], None),
     (["dataset", "normalize"], {"dataset": "abc"}, [], None),
     (["dataset", "normalize"], {"dataset": None}, [], None),
+    ("sweep", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
+                                          "seed": 2 ** 64 - 1},
+               "sweep": {"s_start_grid": [0.2, 0.4, 0.6, 0.8, 1.0],
+                         "repeats": 2}}, [], None),
 ], ids=["sampler_seed", "flag_seed", "bifurcate_flag_seed", "dataset_seed",
         "huge_s_min", "huge_s_start", "ragged_centers", "text_center",
         "nan_sweep_table", "inf_sweep_table", "repeated_sweep_column",
         "short_scan_grid", "normalize_list_dataset", "normalize_text_dataset",
-        "normalize_empty_dataset"])
+        "normalize_empty_dataset", "sweep_last_repeat_seed"])
 def test_bad_inputs_exit_2_before_writing(tmp_path, capsys, command, cfg,
                                           extra, table):
     if table is not None:

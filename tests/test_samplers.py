@@ -270,6 +270,16 @@ def test_divergence_is_reported(two_point_model):
             sample_stochastic(stiff, cfg, 4)
 
 
+def test_overflowing_state_is_reported_as_diverged():
+    # the shifted posterior kernel stays finite on states near 1e279; their
+    # squared norm does not, and that is what the sampler's guard checks
+    stiff = ExactScoreModel(two_point_1d(), VpSchedule(beta_max=1e8))
+    cfg = SamplerConfig(kind="stochastic_sde", n_steps=50, s_start=1.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergedError):
+            run_sampler(stiff, cfg, 4)
+
+
 def test_sweep_shapes_and_common_random_numbers(two_point_model):
     grid = [0.2, 0.5, 1.0]
     metric = lambda finals: float(np.mean(finals ** 2))
@@ -294,6 +304,12 @@ def test_sweep_validation(two_point_model):
     with pytest.raises(DomainError):
         late_start_sweep(two_point_model, "stochastic_sde", 10, [0.5],
                          metric, repeats=0)
+    calls = []
+    with pytest.raises(DomainError):  # repeat 1 would key seed 2**64
+        late_start_sweep(two_point_model, "stochastic_sde", 10, [0.5],
+                         lambda finals: calls.append(1) or 0.0,
+                         seed=2 ** 64 - 1, repeats=2)
+    assert calls == []
 
 
 def test_knee_flat_then_quadratic():
