@@ -169,14 +169,17 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
         X[active] = Xa + step
         # a NaN step never counts as converged
         active = active[~(np.linalg.norm(step, axis=1) < _TOL)]
-    found: list[np.ndarray] = []
-    for idx in np.setdiff1d(np.arange(len(seeds)), active):
-        if not any(np.linalg.norm(X[idx] - p) < _DEDUP for p in found):
-            found.append(X[idx])
+    converged = np.setdiff1d(np.arange(len(seeds)), active)
+    found = np.empty((converged.size, X.shape[1]))  # rows [:n] kept so far
+    n = 0
+    for idx in converged:
+        if not np.any(np.linalg.norm(found[:n] - X[idx], axis=1) < _DEDUP):
+            found[n] = X[idx]
+            n += 1
     pts = tuple(
         FixedPoint(x, _label_stability(
             np.linalg.eigvalsh(curvature(x[None, :], Y, theta))))
-        for x in found)
+        for x in found[:n])
     return GeneralFixedPoints(pts, len(seeds), tuple(int(i) for i in active))
 
 

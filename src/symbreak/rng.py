@@ -9,7 +9,9 @@ on any platform and under any thread count.
 `stream` returns one keyed Generator.  `chain_normals` draws the leading
 standard normals of many consecutive streams at once, as the samplers do
 for their chains: row i is still exactly stream (seed, i), but one Philox
-is re-keyed per row instead of building a new Generator per row.
+is re-keyed per row instead of building a new Generator per row.  A sampler
+run calls it once; a late-start sweep calls it once per repeat r, with seed
+seed + r, and every grid point of that repeat reuses the draw.
 
 The seed rule lives here alone: a seed or stream index is an integer, not a
 bool, in [0, 2**64), the width of one Philox key word.  `check_seed`

@@ -6,7 +6,10 @@ and finish with a posterior-mean jump E[Y0 | x] at s_min.  Chain i draws
 all of its randomness from the counter-based stream keyed (seed, i), so a
 batch is bit-reproducible regardless of execution order or thread count.
 The whole batch is drawn up front by `rng.chain_normals`, whose row i is
-still stream (seed, i): init first, then the step noise.
+still stream (seed, i): init first, then the step noise.  `late_start_sweep`
+draws repeat r's batch once, read-only, and every grid point of that repeat
+reuses it through `run_sampler(..., normals=...)`; row i is still stream
+(seed + r, i), so each grid point's finals equal a standalone run's.
 
 Initialization is either a standard normal or a moment-matched Gaussian
 ("gls"): mean theta*mean(data), covariance theta^2*Cov(data) + (1-theta^2)I,
@@ -114,17 +117,38 @@ def _build_grid(model: ExactScoreModel, config: SamplerConfig) -> np.ndarray:
     return grid
 
 
+def _noise_steps(config: SamplerConfig) -> int:
+    """Steps that draw noise: all of them for the stochastic kinds, none for ddim."""
+    return config.n_steps if config.kind != "ddim" else 0
+
+
+def _run_normals(model: ExactScoreModel, config: SamplerConfig, batch: int,
+                 normals: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (batch, (1 + n_noise) * d) standard normals of a run: `normals`
+    once its shape is checked, else drawn from streams keyed (seed, chain)."""
+    if batch < 1:
+        raise DomainError("batch must be >= 1")
+    shape = (batch, (1 + _noise_steps(config)) * model.dataset.dim)
+    if normals is None:
+        return chain_normals(config.seed, *shape)
+    normals = np.asarray(normals, dtype=np.float64)
+    if normals.shape != shape:
+        raise ShapeError(f"normals have shape {normals.shape}, expected {shape}")
+    return normals
+
+
 def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
-                 n_noise: int) -> tuple[np.ndarray, np.ndarray]:
+                 normals: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Per-chain init states and step noise from streams keyed (seed, chain).
 
     Chain i's init is the first d normals of its stream and its step noise
     the next n_noise * d, exactly as one Generator per chain would draw them.
+    Neither is written to, so `normals` may be a read-only shared draw.
     """
     d = model.dataset.dim
-    z = chain_normals(config.seed, batch, (1 + n_noise) * d)
+    z = _run_normals(model, config, batch, normals)
     init = z[:, :d]
-    noise = z[:, d:].reshape(batch, n_noise, d)
+    noise = z[:, d:].reshape(batch, _noise_steps(config), d)
     if config.init == "gls":
         ginit = gls_init(model, config.s_start)
         # stacked mat-vec, bit-equal per row to L @ z; z @ L.T is a GEMM
@@ -142,13 +166,9 @@ def _check_finite(X: np.ndarray, step: int) -> None:
 
 
 def _run(model: ExactScoreModel, config: SamplerConfig, batch: int,
-         keep_trajectories: bool) -> SamplerRun:
-    if batch < 1:
-        raise DomainError("batch must be >= 1")
+         keep_trajectories: bool, normals: Optional[np.ndarray]) -> SamplerRun:
     grid = _build_grid(model, config)
-    stochastic = config.kind != "ddim"
-    X, noise = _draw_chains(model, config, batch,
-                            config.n_steps if stochastic else 0)
+    X, noise = _draw_chains(model, config, batch, normals)
     sched = model.schedule
     traj = None
     if keep_trajectories:
@@ -183,29 +203,45 @@ def _run(model: ExactScoreModel, config: SamplerConfig, batch: int,
 
 
 def sample_stochastic(model: ExactScoreModel, config: SamplerConfig,
-                      batch: int, *, keep_trajectories: bool = False) -> SamplerRun:
-    """Euler-Maruyama reverse SDE, or the ancestral transition-kernel variant."""
+                      batch: int, *, keep_trajectories: bool = False,
+                      normals: Optional[np.ndarray] = None) -> SamplerRun:
+    """Euler-Maruyama reverse SDE, or the ancestral transition-kernel variant.
+
+    `normals` replaces the run's own draw, as in `run_sampler`.
+    """
     if config.kind not in ("stochastic_sde", "ancestral_ddpm"):
         raise DomainError("sample_stochastic handles the stochastic kinds; "
                           "use sample_ddim for ddim")
-    return _run(model, config, batch, keep_trajectories)
+    return _run(model, config, batch, keep_trajectories, normals)
 
 
 def sample_ddim(model: ExactScoreModel, config: SamplerConfig,
-                batch: int, *, keep_trajectories: bool = False) -> SamplerRun:
-    """Deterministic probability-flow stepper (eta = 0); random only in init."""
+                batch: int, *, keep_trajectories: bool = False,
+                normals: Optional[np.ndarray] = None) -> SamplerRun:
+    """Deterministic probability-flow stepper (eta = 0); random only in init.
+
+    `normals` replaces the run's own draw, as in `run_sampler`.
+    """
     if config.kind != "ddim":
         raise DomainError("sample_ddim requires kind='ddim'")
-    return _run(model, config, batch, keep_trajectories)
+    return _run(model, config, batch, keep_trajectories, normals)
 
 
 def run_sampler(model: ExactScoreModel, config: SamplerConfig, batch: int, *,
-                keep_trajectories: bool = False) -> SamplerRun:
-    if config.kind == "ddim":
-        return sample_ddim(model, config, batch,
-                           keep_trajectories=keep_trajectories)
-    return sample_stochastic(model, config, batch,
-                             keep_trajectories=keep_trajectories)
+                keep_trajectories: bool = False,
+                normals: Optional[np.ndarray] = None) -> SamplerRun:
+    """Run `batch` chains of `config`.
+
+    `normals`, if given, replaces the run's own draw: a (batch,
+    (1 + n_noise) * d) array, n_noise = n_steps for the stochastic kinds and
+    0 for ddim, whose row i is chain i's init normals then its step noise.
+    `rng.chain_normals(config.seed, ...)` of that shape reproduces the run
+    bit for bit.  It is only read, never written.  A wrong shape raises
+    ShapeError.
+    """
+    runner = sample_ddim if config.kind == "ddim" else sample_stochastic
+    return runner(model, config, batch, keep_trajectories=keep_trajectories,
+                  normals=normals)
 
 
 @dataclass(frozen=True)
@@ -229,7 +265,12 @@ def late_start_sweep(model: ExactScoreModel, kind: str, n_steps: int,
     """Run the sampler at each s_start and score the finals with `metric`.
 
     Repeat r uses seed+r for every grid point (common random numbers across
-    the grid, independent across repeats).
+    the grid, independent across repeats).  Its chain normals are drawn once,
+    read-only, and every grid point of the repeat reuses them; row i is
+    still stream (seed+r, i), so each value equals
+    `metric(run_sampler(...).finals)` of that grid point's own run.  Every
+    grid point's config and time grid, and the batch, are checked before
+    anything is sampled.
     """
     grid = np.asarray(s_start_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
@@ -238,12 +279,19 @@ def late_start_sweep(model: ExactScoreModel, kind: str, n_steps: int,
         raise DomainError("repeats must be >= 1")
     check_seed(seed)
     check_seed(seed + repeats - 1, "seed + repeats - 1")  # before any sampling
+
+    def config(i: int, r: int) -> SamplerConfig:
+        return SamplerConfig(kind=kind, n_steps=n_steps, s_start=float(grid[i]),
+                             init=init, s_min=s_min, seed=seed + r)
+
+    for i in range(grid.size):  # only the seed differs between repeats
+        _build_grid(model, config(i, 0))
     values = np.empty((repeats, grid.size))
     for r in range(repeats):
-        for i, s0 in enumerate(grid):
-            cfg = SamplerConfig(kind=kind, n_steps=n_steps, s_start=float(s0),
-                                init=init, s_min=s_min, seed=seed + r)
-            run = run_sampler(model, cfg, batch)
+        z = _run_normals(model, config(0, r), batch)
+        z.flags.writeable = False
+        for i in range(grid.size):
+            run = run_sampler(model, config(i, r), batch, normals=z)
             values[r, i] = float(metric(run.finals))
     return SweepResult(grid, values)
 

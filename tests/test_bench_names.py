@@ -52,3 +52,21 @@ def test_sampler_makes_one_kernel_pass_per_step(spans, kind):
     with tracer.installed():
         model.score([0.3], 0.5)
     assert tracer.metrics()["exact_score.calls"] == 1
+
+
+@pytest.mark.parametrize("kind", ["stochastic_sde", "ddim"])
+def test_sweep_runs_its_chains_through_the_traced_runners(spans, kind):
+    # the tracer counts chains and steps inside sample_stochastic and
+    # sample_ddim; a sweep that bypassed them would report zero work
+    from symbreak import (ExactScoreModel, VpSchedule, late_start_sweep,
+                          two_point_1d)
+    model = ExactScoreModel(two_point_1d(), VpSchedule())
+    n_steps = 6
+    tracer = spans.Tracer()
+    with tracer.installed():
+        late_start_sweep(model, kind, n_steps, [0.3, 0.6, 0.9],
+                         lambda finals: 0.0, batch=5)
+    m = tracer.metrics()
+    assert m["samplers.chains"] == 15
+    assert m["samplers.chain_steps"] == 15 * n_steps
+    assert m["exact_score.calls"] == 3 * (n_steps + 1)

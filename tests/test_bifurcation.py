@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from symbreak import (ExactScoreModel, bifurcation, center_and_normalize,
-                      hypersphere)
+from symbreak import (EmpiricalDataset, ExactScoreModel, VpSchedule,
+                      bifurcation, center_and_normalize, hypersphere)
 from symbreak.bifurcation import (bifurcation_diagram_1d, critical_theta_1d,
                                   critical_theta_sphere, default_seed_points,
                                   drift_field, fixed_points_1d,
@@ -233,6 +233,31 @@ def test_general_solver_batch_matches_per_seed_runs(sphere_model):
                 [p.stability for p in found]
             for p, q in zip(batch.points, found):
                 assert np.max(np.abs(p.x - q.x)) <= 1e-12
+
+
+def test_general_solver_dedups_in_seed_order_first_wins(monkeypatch):
+    # a ring of 12 points: every scaled data point and random direction
+    # lands on one of a few wells, so near duplicates are common
+    angles = 2 * np.pi * np.arange(12) / 12
+    ring = EmpiricalDataset(np.column_stack([np.cos(angles), np.sin(angles)]),
+                            radius=1.0, centered=True)
+    model = ExactScoreModel(ring, VpSchedule())
+    seeds = bifurcation.default_seed_points(ring, 0.95)
+    seeds += [x + 1e-3 for x in seeds[::-1]]
+    got = bifurcation.fixed_points_general(model, 0.95, seeds)
+    # reference: every converged seed in order, then the first-wins loop
+    dedup = bifurcation._DEDUP
+    monkeypatch.setattr(bifurcation, "_DEDUP", 0.0)
+    every = bifurcation.fixed_points_general(model, 0.95, seeds)
+    assert every.failed_seeds == got.failed_seeds == ()
+    kept = []
+    for p in every.points:
+        if not any(np.linalg.norm(p.x - q.x) < dedup for q in kept):
+            kept.append(p)
+    assert len(every.points) == len(seeds) > 2 * len(kept) > 2
+    assert [p.stability for p in got.points] == [p.stability for p in kept]
+    assert all(np.array_equal(p.x, q.x) for p, q in zip(got.points, kept,
+                                                         strict=True))
 
 
 def test_diagram_branch_structure():

@@ -7,8 +7,9 @@ from scipy import stats
 from symbreak import (EmpiricalDataset, ExactScoreModel, SamplerConfig,
                       VpSchedule, estimate_knee, forward_sample, gls_init,
                       hypersphere, late_start_sweep, run_sampler, sample_ddim,
-                      sample_stochastic, two_point_1d)
+                      sample_stochastic, samplers, two_point_1d)
 from symbreak.errors import DivergedError, DomainError, ShapeError
+from symbreak.rng import chain_normals
 
 import oracles
 
@@ -305,11 +306,83 @@ def test_sweep_validation(two_point_model):
         late_start_sweep(two_point_model, "stochastic_sde", 10, [0.5],
                          metric, repeats=0)
     calls = []
+    count = lambda finals: calls.append(1) or 0.0
     with pytest.raises(DomainError):  # repeat 1 would key seed 2**64
         late_start_sweep(two_point_model, "stochastic_sde", 10, [0.5],
-                         lambda finals: calls.append(1) or 0.0,
-                         seed=2 ** 64 - 1, repeats=2)
+                         count, seed=2 ** 64 - 1, repeats=2)
+    with pytest.raises(DomainError):  # s_start 1e-5 is below s_min
+        late_start_sweep(two_point_model, "stochastic_sde", 10, [0.5, 1e-5],
+                         count)
+    with pytest.raises(DomainError):  # s_min not below the late point's last node
+        late_start_sweep(two_point_model, "stochastic_sde", 10, [0.5, 0.005],
+                         count, s_min=6e-4)
+    with pytest.raises(DomainError):  # not numpy's ValueError from the draw
+        late_start_sweep(two_point_model, "stochastic_sde", 10, [0.5],
+                         count, batch=-1)
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["stochastic_sde", "ancestral_ddpm", "ddim"])
+@pytest.mark.parametrize("init", ["standard_normal", "gls"])
+@pytest.mark.parametrize("model_name", ["two_point_model", "gmm_model"])
+def test_sweep_draws_once_per_repeat_and_matches_runs(request, monkeypatch,
+                                                      kind, init, model_name):
+    model = request.getfixturevalue(model_name)
+    grid = [0.2, 0.5, 1.0]
+    draws = []
+    real = samplers.chain_normals
+
+    def counting(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(samplers, "chain_normals", counting)
+    metric = lambda finals: float(np.sum(finals * [1.0, 0.3][:finals.shape[1]]))
+    out = late_start_sweep(model, kind, 8, grid, metric, init=init, batch=9,
+                           seed=4, repeats=2)
+    assert len(draws) == 2
+    for r in range(2):
+        for i, s0 in enumerate(grid):
+            cfg = SamplerConfig(kind=kind, n_steps=8, s_start=s0, init=init,
+                                seed=4 + r)
+            assert out.values[r, i] == metric(run_sampler(model, cfg, 9).finals)
+
+
+def test_shared_normals_are_read_only(gmm_model, monkeypatch):
+    draws = []
+    real = samplers.chain_normals
+    monkeypatch.setattr(samplers, "chain_normals",
+                        lambda *args: draws.append(real(*args)) or draws[-1])
+    errors = []
+
+    def tamper(finals):
+        try:
+            draws[0][:] = 0.0
+        except ValueError as exc:
+            errors.append(exc)
+        return float(finals.sum())
+
+    grid = [0.3, 0.6]
+    out = late_start_sweep(gmm_model, "ancestral_ddpm", 6, grid, tamper,
+                           batch=5, seed=2)
+    assert len(errors) == 2
+    cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=6, s_start=0.6, seed=2)
+    monkeypatch.undo()
+    assert out.values[0, 1] == float(run_sampler(gmm_model, cfg, 5).finals.sum())
+
+
+@pytest.mark.parametrize("kind", ["stochastic_sde", "ddim"])
+def test_given_normals_reproduce_the_run(gmm_model, kind):
+    cfg = SamplerConfig(kind=kind, n_steps=6, s_start=0.7, init="gls", seed=9)
+    width = (1 + (6 if kind != "ddim" else 0)) * gmm_model.dataset.dim
+    z = chain_normals(9, 5, width)
+    given = run_sampler(gmm_model, cfg, 5, keep_trajectories=True, normals=z)
+    own = run_sampler(gmm_model, cfg, 5, keep_trajectories=True)
+    assert np.array_equal(given.finals, own.finals)
+    assert np.array_equal(given.trajectories, own.trajectories)
+    for bad in (z[:4], z[:, :-1], z[:, :, None]):
+        with pytest.raises(ShapeError):
+            run_sampler(gmm_model, cfg, 5, normals=bad)
 
 
 def test_knee_flat_then_quadratic():
