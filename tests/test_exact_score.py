@@ -297,7 +297,10 @@ def test_hessian_rejects_a_batch(gmm_model):
 def _textbook_weights(model, X, s):
     theta, var = model._s_forward(s)
     Y = model.dataset.points
-    a = -np.sum((X[:, None, :] - theta * Y[None, :, :]) ** 2, axis=2) / (2.0 * var)
+    # in row chunks, so long batches stay small in memory
+    a = np.concatenate([
+        -np.sum((X[i:i + 256, None, :] - theta * Y[None, :, :]) ** 2, axis=2)
+        for i in range(0, len(X), 256)]) / (2.0 * var)
     return a, softmax(a, axis=1), theta, var
 
 
@@ -317,44 +320,80 @@ def _rel_err(got, want, scale=None):
                                          else scale)
 
 
-@pytest.mark.parametrize("shape", ["gmm", "sphere64"])
-def test_kernel_matches_the_textbook_route(schedule, shape):
+def _shape_model(schedule, shape):
     if shape == "gmm":  # criterion 7's anisotropic mixture
         ds = gaussian_mixture([[2.4, 0.6], [0.9, -0.4], [-1.6, 0.8],
                                [-0.4, -2.0]], 0.1, 16, seed=7)
     else:
         ds = center_and_normalize(hypersphere(64, 1.0, 96, seed=3), r=1.0)
-    model = ExactScoreModel(ds, schedule)
-    Y = ds.points
-    X = 1.2 * stream(23).standard_normal((40, ds.dim))
-    X[0] = Y[5]  # a state on a data point
+    return ExactScoreModel(ds, schedule)
+
+
+def _check_against_textbook(model, X, s):
+    """Every kernel route against the textbook one at forward time s."""
+    ds, schedule, Y = model.dataset, model.schedule, model.dataset.points
     X_before = X.copy()
-    for s in (1e-4, 0.3, 1.0):
-        a, W, theta, var = _textbook_weights(model, X, s)
-        got = model.posterior_weights_batch(X, s)
-        assert np.max(np.abs(got - W)) <= 1e-10
-        again = model.posterior_weights_batch(X, s)
-        assert not np.shares_memory(got, again)
-        score = (theta * (W @ Y) - X) / var
-        assert _rel_err(model.score_batch(X, s), score) <= 1e-12
-        # a convex combination of the points: near-uniform weights cancel
-        # it far below the data's scale, so measure the error on that scale
-        assert _rel_err(model.posterior_mean_batch(X, s), W @ Y,
-                        np.max(np.abs(Y))) <= 1e-12
-        logpdf = (logsumexp(a, axis=1) - np.log(ds.n_points)
-                  - 0.5 * ds.dim * np.log(2.0 * np.pi * var))
-        assert np.max(np.abs(model.mixture_logpdf_batch(X, s) - logpdf)) <= 1e-8
-        t = schedule.horizon - s
-        potential = schedule.beta_at(s) * (-0.25 * np.sum(X * X, axis=1)
-                                           - logsumexp(a, axis=1))
-        assert _rel_err(model.potential_batch(X, t), potential) <= 1e-12
-        ev = model.score(X[3], s)
-        assert _rel_err(ev.score, score[3]) <= 1e-12
-        assert abs(ev.log_density - logpdf[3]) <= 1e-8
-        assert np.max(np.abs(ev.weights - W[3])) <= 1e-10
-        assert _rel_err(model.hessian(X[3], t),
-                        _textbook_hessian(model, X[3], s)) <= 1e-10
-        assert np.array_equal(X, X_before)
+    a, W, theta, var = _textbook_weights(model, X, s)
+    got = model.posterior_weights_batch(X, s)
+    assert np.max(np.abs(got - W)) <= 1e-10
+    again = model.posterior_weights_batch(X, s)
+    assert not np.shares_memory(got, again)
+    score = (theta * (W @ Y) - X) / var
+    assert _rel_err(model.score_batch(X, s), score) <= 1e-12
+    # a convex combination of the points: near-uniform weights cancel
+    # it far below the data's scale, so measure the error on that scale
+    assert _rel_err(model.posterior_mean_batch(X, s), W @ Y,
+                    np.max(np.abs(Y))) <= 1e-12
+    logpdf = (logsumexp(a, axis=1) - np.log(ds.n_points)
+              - 0.5 * ds.dim * np.log(2.0 * np.pi * var))
+    assert np.max(np.abs(model.mixture_logpdf_batch(X, s) - logpdf)) <= 1e-8
+    t = schedule.horizon - s
+    potential = schedule.beta_at(s) * (-0.25 * np.sum(X * X, axis=1)
+                                       - logsumexp(a, axis=1))
+    assert _rel_err(model.potential_batch(X, t), potential) <= 1e-12
+    ev = model.score(X[3], s)
+    assert _rel_err(ev.score, score[3]) <= 1e-12
+    assert abs(ev.log_density - logpdf[3]) <= 1e-8
+    assert np.max(np.abs(ev.weights - W[3])) <= 1e-10
+    assert _rel_err(model.hessian(X[3], t),
+                    _textbook_hessian(model, X[3], s)) <= 1e-10
+    assert np.array_equal(X, X_before)
+    return a, got
+
+
+# batches below N get row-major kernel blocks, batches of at least N
+# point-major ones, and the longest spans three blocks (2^17 // (N + D + 2)
+# rows each: 1927 for the mixture, 809 for the sphere), the last one ragged
+_BATCHES = {"gmm": (40, 200, 3900), "sphere64": (40, 300, 1700)}
+
+
+@pytest.mark.parametrize("shape", ["gmm", "sphere64"])
+def test_kernel_matches_the_textbook_route(schedule, shape):
+    model = _shape_model(schedule, shape)
+    for B in _BATCHES[shape]:
+        X = 1.2 * stream(23).standard_normal((B, model.dataset.dim))
+        X[0] = model.dataset.points[5]  # a state on a data point
+        for s in (1e-4, 0.3, 1.0):
+            _check_against_textbook(model, X, s)
+
+
+@pytest.mark.parametrize("shape", ["gmm", "sphere64"])
+def test_kernel_matches_the_textbook_route_where_exp_is_floored(schedule,
+                                                                 shape):
+    # at s = 1e-4 (var ~ 1e-5) states 2 to 6 away from the data put most
+    # shifted logits below -745, where exp underflows; the kernel floors
+    # them at -700, which must not show in any output
+    model = _shape_model(schedule, shape)
+    rng = stream(25)
+    for B in (40, 300):
+        U = rng.standard_normal((B, model.dataset.dim))
+        X = 1.2 * U + (2.0 + 4.0 * rng.uniform(size=(B, 1))) \
+            * U / np.linalg.norm(U, axis=1, keepdims=True)
+        a, W = _check_against_textbook(model, X, 1e-4)
+        shifted = a - a.max(axis=1, keepdims=True)
+        assert np.mean(shifted < -745.0) > 0.5
+        assert np.all((W >= 0.0) & (W <= 1.0))
+        assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-14
 
 
 def test_posterior_kernel_peaks_near_one_buffer(schedule):
@@ -389,17 +428,24 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("method", ["posterior_mean_batch", "score_batch",
-                                    "potential_batch", "mixture_logpdf_batch"])
-def test_kernel_memory_does_not_grow_with_the_batch(schedule, method):
-    # the kernel walks row blocks through one bounded buffer: four times the
-    # rows may only add their outputs, a (B, D) block and a B-vector
-    N, D = 2048, 64
+_METHODS = ("posterior_mean_batch", "score_batch", "potential_batch",
+            "mixture_logpdf_batch")
+
+
+@pytest.mark.parametrize("method, N, D, batches", [
+    *[pytest.param(m, 2048, 64, (512, 2048), id=m) for m in _METHODS],
+    *[pytest.param(m, 64, 2, (2048, 8192), id=f"{m}-n64") for m in _METHODS]])
+def test_kernel_memory_does_not_grow_with_the_batch(schedule, method, N, D,
+                                                    batches):
+    # the kernel walks row blocks through bounded scratch (row-major blocks at
+    # N = 2048, point-major at N = 64): four times the rows may only add their
+    # outputs, a (B, D) block and a B-vector
     model = ExactScoreModel(hypersphere(D, 1.0, N, seed=4), schedule)
     fn = getattr(model, method)
     peaks = {B: _peak_bytes(fn, stream(24).standard_normal((B, D)), 0.4)
-             for B in (512, 2048)}
-    assert peaks[2048] - peaks[512] <= (2048 - 512) * (D + 1) * 8, peaks
+             for B in batches}
+    small, large = batches
+    assert peaks[large] - peaks[small] <= (large - small) * (D + 1) * 8, peaks
 
 
 def test_potential_peaks_far_below_the_kernel_matrix(schedule):
