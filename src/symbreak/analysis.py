@@ -149,6 +149,12 @@ def frechet_gaussian(reference, generated) -> QualityReport:
                          jittered)
 
 
+def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest center, first on ties."""
+    d2 = np.sum(points * points, axis=1)[:, None] - 2.0 * points @ centers.T
+    return np.argmin(d2 + np.sum(centers * centers, axis=1), axis=1)
+
+
 def mode_entropy(generated, centers) -> float:
     """Shannon entropy (nats) of nearest-center assignments."""
     gen = np.asarray(generated, dtype=np.float64)
@@ -157,9 +163,7 @@ def mode_entropy(generated, centers) -> float:
         raise ShapeError("generated and centers must be (N, D) with equal D")
     if gen.shape[0] < 1 or cen.shape[0] < 1:
         raise DomainError("generated set and centers must be nonempty")
-    d2 = (np.sum(gen * gen, axis=1)[:, None]
-          - 2.0 * gen @ cen.T + np.sum(cen * cen, axis=1)[None, :])
-    counts = np.bincount(np.argmin(d2, axis=1), minlength=cen.shape[0])
+    counts = np.bincount(nearest_center(gen, cen), minlength=cen.shape[0])
     p = counts[counts > 0] / gen.shape[0]
     return float(-np.sum(p * np.log(p)))
 

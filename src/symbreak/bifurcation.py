@@ -4,8 +4,8 @@ Fixed points solve x = (2*theta/(1+theta^2)) * E_w[Y | x], the
 self-consistency condition obtained by setting the generative drift
 -grad u to zero at fixed theta.  For the two-point 1D dataset this
 reduces to (theta^2+1) x = 2*theta*tanh(theta*x/(1-theta^2)), a pitchfork:
-one root below the critical theta, three above.  The critical values come
-from the sign change of the potential's curvature at the origin.
+one root below the critical theta, three above.  critical_theta_cov owns
+the critical level, from the largest eigenvalue of the data covariance.
 """
 
 from __future__ import annotations
@@ -53,22 +53,27 @@ class GeneralFixedPoints:
     failed_seeds: tuple[int, ...]  # seed indices that exhausted the budget
 
 
+def critical_theta_cov(lam: float) -> float:
+    """sqrt(sqrt(1 + lam^2) - lam), lam the data covariance's top eigenvalue:
+    where the origin loses stability.  Exact for centered data of one norm
+    (the origin is then a fixed point), an estimate otherwise."""
+    if not 0 <= lam < np.inf:
+        raise DomainError(f"critical_theta_cov requires finite lam >= 0: {lam}")
+    return float(np.sqrt(np.sqrt(1.0 + lam * lam) - lam))
+
+
 def critical_theta_1d() -> float:
     """Signal level where the origin loses stability for the {-1,+1} dataset."""
-    return critical_theta_sphere(1, 1.0)
+    return critical_theta_cov(1.0)
 
 
 def critical_theta_sphere(d: int, r: float) -> float:
-    """Origin sign-flip level for centered radius-r data in d dimensions.
-
-    sqrt((sqrt(d^2 + r^4) - r^2) / d).
-    """
-    if d < 1:
-        raise DomainError("critical_theta_sphere requires d >= 1")
-    if r <= 0:
-        raise DomainError("critical_theta_sphere requires r > 0")
-    r2 = r * r
-    return float(np.sqrt((np.sqrt(d * d + r2 * r2) - r2) / d))
+    """critical_theta_cov at lam = r^2/d, where the origin's Laplacian flips."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise DomainError(f"critical_theta_sphere requires integer d >= 1: {d!r}")
+    if not 0 < r < np.inf:
+        raise DomainError(f"critical_theta_sphere requires finite r > 0: {r}")
+    return critical_theta_cov(r * r / d)
 
 
 def _residual_1d(x: float, theta: float) -> float:

@@ -64,15 +64,18 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed, threads: int,
 def cmd_bifurcate(cfg: dict, out: Path) -> list[str]:
     settings = cfgmod.build_bifurcate(cfg)
     report = {"theta_c_1d": bifurcation.critical_theta_1d()}
-    if settings["sphere_d"] is not None:
-        report["theta_star_sphere"] = bifurcation.critical_theta_sphere(
-            settings["sphere_d"], settings["sphere_r"])
-        report["sphere_d"] = settings["sphere_d"]
-        report["sphere_r"] = settings["sphere_r"]
+    if cfg.get("dataset") is not None:
+        ds, sched = cfgmod.build_dataset(cfg), cfgmod.build_schedule(cfg)
+        cov = np.cov(ds.points, rowvar=False, ddof=0).reshape(ds.dim, ds.dim)
+        theta_c = bifurcation.critical_theta_cov(np.linalg.eigvalsh(cov)[-1])
+        report["theta_c"] = theta_c
+        report["theta_c_exact"] = bool(ds.centered and ds.radius > 0)
+        report["s_c"] = (sched.invert_theta(theta_c)  # None: theta(1) > theta_c
+                         if theta_c >= sched.theta_at(sched.horizon) else None)
     if settings["sweep_csv"]:
         report["knee"] = _knee_report(
             *_read_sweep_table(Path(settings["sweep_csv"])))
-    # build the whole report first, so a bad sweep table fails before any write
+    # build the whole report first, so bad input fails before any write
     thetas = np.linspace(settings["theta_start"], settings["theta_stop"],
                          settings["theta_count"])
     bifurcation.write_branches_csv(bifurcation.bifurcation_diagram_1d(thetas),
@@ -124,10 +127,7 @@ def cmd_sweep(cfg: dict, out: Path) -> list[str]:
 
 def _anchor_pair(model, run) -> tuple[int, int]:
     """First chain, plus the first chain committed to a different data point."""
-    pts = model.dataset.points
-    d2 = (np.sum(run.finals ** 2, axis=1)[:, None]
-          - 2.0 * run.finals @ pts.T + np.sum(pts ** 2, axis=1)[None, :])
-    modes = np.argmin(d2, axis=1)
+    modes = analysis.nearest_center(run.finals, model.dataset.points)
     first = 0
     others = np.flatnonzero(modes != modes[first])
     second = int(others[0]) if others.size else min(1, len(modes) - 1)
@@ -235,9 +235,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out: cannot create {out}: {exc}") from exc
         if args.seed is not None:
             rng.check_seed(args.seed, "--seed")
-        # the manifest's config is what ran; bifurcate draws nothing random
-        sec = cfg.get("dataset" if args.command == "dataset" else "sampler")
-        if isinstance(sec, dict) and args.command != "bifurcate":
+        # the manifest's config is what ran; bifurcate draws only its dataset
+        sec = cfg.get("dataset" if args.command in ("dataset", "bifurcate")
+                      else "sampler")
+        if isinstance(sec, dict):
             if args.seed is not None:
                 sec["seed"] = args.seed
             if getattr(args, "action", None) == "normalize":

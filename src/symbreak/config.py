@@ -18,9 +18,8 @@ Grammar (all sections optional unless a command needs them):
     scan:
       times: [..] and/or theta_targets: [..]
       n_alpha: 141  smoothing_window: 3
-    bifurcate:
+    bifurcate:              (also reports the dataset section's critical level)
       theta_start, theta_stop, theta_count
-      sphere_d, sphere_r    (optional critical-theta report)
       sweep_csv             (optional knee input)
 
 Start times may be floats in (0, 1] or integer step indices on the
@@ -259,12 +258,8 @@ def build_bifurcate(cfg: dict) -> dict:
         "theta_stop": stop,
         "theta_count": _num(sec, "bifurcate", "theta_count", 96, integer=True,
                             lo=2),
-        "sphere_d": _num(sec, "bifurcate", "sphere_d", None, integer=True, lo=1),
-        "sphere_r": _num(sec, "bifurcate", "sphere_r", None, lo=1e-12),
         "sweep_csv": sec.get("sweep_csv"),
     }
-    if (out["sphere_d"] is None) != (out["sphere_r"] is None):
-        raise ConfigError("bifurcate: sphere_d and sphere_r go together")
     if out["sweep_csv"] is not None and not isinstance(out["sweep_csv"], str):
         raise ConfigError("bifurcate.sweep_csv: must be a path string")
     return out

@@ -39,7 +39,7 @@ class VpSchedule:
 
     def _check_time(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if np.any(s < 0) or np.any(s > self.horizon):
+        if not np.all((s >= 0) & (s <= self.horizon)):  # NaN fails both
             raise DomainError(f"time must lie in [0, {self.horizon}]")
         return s
 

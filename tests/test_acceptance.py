@@ -18,8 +18,8 @@ from symbreak import (EmpiricalDataset, ExactScoreModel, SamplerConfig,
 from symbreak.analysis import (count_local_minima, default_alpha_grid,
                                frechet_gaussian, interpolation_path,
                                mode_entropy, potential_scan)
-from symbreak.bifurcation import (critical_theta_1d, critical_theta_sphere,
-                                  fixed_points_1d)
+from symbreak.bifurcation import (critical_theta_1d, critical_theta_cov,
+                                  critical_theta_sphere, fixed_points_1d)
 from symbreak.cli import _anchor_pair
 from symbreak.rng import stream
 from symbreak.samplers import (estimate_knee, late_start_sweep, run_sampler,
@@ -238,7 +238,7 @@ def test_criterion_07_late_start_plateau_and_knee():
 
     gmm_model = ExactScoreModel(_aniso_gmm(), SCHED)
     lam = np.linalg.eigvalsh(np.cov(gmm_model.dataset.points.T, ddof=0)).max()
-    theta_c_gmm = np.sqrt(np.sqrt(1.0 + lam * lam) - lam)
+    theta_c_gmm = critical_theta_cov(lam)
     _sweep_clauses(gmm_model, SCHED.invert_theta(theta_c_gmm), failures, "gmm")
 
     # The normalized two-point dataset has mean 0 and variance exactly 1, so

@@ -7,7 +7,7 @@ from symbreak.analysis import (CoordinateTrajectories, PotentialScan,
                                coordinate_trajectories, correlation_trajectory,
                                count_local_minima, default_alpha_grid,
                                frechet_gaussian, interpolation_path,
-                               mode_entropy, potential_scan)
+                               mode_entropy, nearest_center, potential_scan)
 from symbreak.errors import DomainError, ShapeError
 from symbreak.rng import stream
 from symbreak.samplers import SamplerRun
@@ -204,6 +204,16 @@ def test_mode_entropy_limits():
                        np.tile([-0.9, 0.0], (20, 1))])
     assert mode_entropy(split, centers) == pytest.approx(oracles.LN2,
                                                          abs=1e-12)
+
+
+def test_nearest_center_matches_brute_force():
+    rng = stream(47)
+    centers = rng.standard_normal((7, 3))
+    pts = rng.standard_normal((200, 3))
+    brute = np.argmin(np.linalg.norm(pts[:, None] - centers[None], axis=2), axis=1)
+    assert np.array_equal(nearest_center(pts, centers), brute)
+    # a tie goes to the first center
+    assert nearest_center(np.zeros((1, 2)), np.array([[1.0, 0.0], [0.0, 1.0]]))[0] == 0
 
 
 def test_mode_entropy_is_bounded():

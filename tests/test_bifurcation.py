@@ -5,10 +5,10 @@ from scipy.optimize import brentq
 from symbreak import (EmpiricalDataset, ExactScoreModel, VpSchedule,
                       bifurcation, center_and_normalize, hypersphere)
 from symbreak.bifurcation import (bifurcation_diagram_1d, critical_theta_1d,
-                                  critical_theta_sphere, default_seed_points,
-                                  drift_field, fixed_points_1d,
-                                  fixed_points_general, GeneralFixedPoints,
-                                  write_branches_csv)
+                                  critical_theta_cov, critical_theta_sphere,
+                                  default_seed_points, drift_field,
+                                  fixed_points_1d, fixed_points_general,
+                                  GeneralFixedPoints, write_branches_csv)
 from symbreak.errors import DomainError, ShapeError
 from symbreak.rng import stream
 
@@ -51,6 +51,59 @@ def test_critical_theta_sphere_matches_laplacian_sign_flip(sphere_model):
 
     root = brentq(lap, 0.6, 0.95, xtol=1e-13)
     assert root == pytest.approx(critical_theta_sphere(2, 1.0), abs=1e-10)
+
+
+def test_critical_theta_cov_owns_the_1d_value():
+    # the {-1, +1} data have covariance 1; the double-precision formula lands
+    # one ulp above the correctly rounded oracle
+    assert critical_theta_cov(1.0) == critical_theta_1d() == 0.6435942529055827
+    assert abs(critical_theta_1d() - oracles.THETA_C_1D) <= np.spacing(
+        oracles.THETA_C_1D)
+
+
+def test_critical_theta_sphere_matches_the_sphere_formula():
+    worst = 0.0
+    for d in (1, 2, 3, 8, 64, 512):
+        for r in np.linspace(0.1, 7.0, 50):
+            r2 = r * r  # sqrt((sqrt(d^2 + r^4) - r^2) / d), no lam in it
+            sphere = np.sqrt((np.sqrt(d * d + r2 * r2) - r2) / d)
+            worst = max(worst, abs(critical_theta_sphere(d, r) / sphere - 1.0))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("d, n, seed", [(3, 8, 5), (8, 64, 1), (64, 256, 2)])
+def test_critical_theta_cov_matches_the_hessian_flip(schedule, d, n, seed):
+    # independent route: bisect theta on the smallest eigenvalue of the
+    # analytic Hessian of u at the origin, a fixed point for these data
+    model = ExactScoreModel(center_and_normalize(hypersphere(d, 1.0, n, seed),
+                                                 r=1.0), schedule)
+
+    def min_eig(theta):
+        t = 1.0 - schedule.invert_theta(theta)
+        return np.linalg.eigvalsh(model.hessian(np.zeros(d), t))[0]
+
+    lo, hi = 0.3, 0.999
+    assert min_eig(lo) > 0 > min_eig(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if min_eig(mid) > 0 else (lo, mid)
+    lam = np.linalg.eigvalsh(np.cov(model.dataset.points, rowvar=False,
+                                    ddof=0))[-1]
+    assert abs(0.5 * (lo + hi) - critical_theta_cov(lam)) <= 1e-12
+
+
+def test_critical_level_rejects_bad_input():
+    for d in (0, 2.5, True, "3"):
+        with pytest.raises(DomainError):
+            critical_theta_sphere(d, 1.0)
+    for r in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            critical_theta_sphere(2, r)
+    for lam in (-1e-300, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            critical_theta_cov(lam)
+    assert critical_theta_cov(0.0) == 1.0
+    assert critical_theta_sphere(np.int64(2), 1.0) == critical_theta_sphere(2, 1.0)
 
 
 def test_fixed_points_1d_counts():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from symbreak import bifurcation
+from symbreak import VpSchedule, bifurcation
 from symbreak.cli import main
 
 
@@ -118,17 +118,62 @@ def test_scan_csv_layout(tmp_path):
 
 
 def test_bifurcate_reports_critical_values(tmp_path):
-    cfg = {"bifurcate": {"theta_count": 24, "sphere_d": 4, "sphere_r": 1.5}}
+    cfg = {"dataset": {"kind": "two_point_1d"}, "bifurcate": {"theta_count": 24}}
     code, out = run_cli(tmp_path, "bifurcate", cfg)
     assert code == 0
     crit = json.loads((out / "critical.json").read_text())
-    assert crit["theta_c_1d"] == pytest.approx(bifurcation.critical_theta_1d(),
-                                               abs=1e-12)
-    assert crit["theta_star_sphere"] == pytest.approx(
-        bifurcation.critical_theta_sphere(4, 1.5), abs=1e-12)
+    tc = bifurcation.critical_theta_1d()
+    assert crit == {"theta_c_1d": tc, "theta_c": tc, "theta_c_exact": True,
+                    "s_c": VpSchedule().invert_theta(tc)}
     rows = list(csv.reader((out / "branches.csv").open()))
     assert rows[0] == ["branch", "theta", "x_0", "stability"]
     assert len(rows) > 24
+
+
+def test_bifurcate_without_a_dataset_reports_the_1d_level_only(tmp_path):
+    code, out = run_cli(tmp_path, "bifurcate", {"bifurcate": {"theta_count": 8}})
+    assert code == 0
+    assert ((out / "critical.json").read_text()
+            == '{\n  "theta_c_1d": 0.6435942529055827\n}\n')
+
+
+@pytest.mark.parametrize("dataset, points, expect", [
+    ({"kind": "hypersphere", "d": 3, "n": 8, "seed": 5,
+      "normalize": {"radius": 1.0}}, None,
+     {"theta_c": 0.7587979032397262, "theta_c_exact": True}),
+    ({"kind": "gaussian_mixture", "centers": [[1.0, 0.0], [-1.0, 0.5]],
+      "std": 0.1, "n_per_mode": 4}, None, {"theta_c_exact": False}),
+    # so wide a pair splits before the schedule starts: theta_c < theta(1)
+    ({"kind": "csv"}, "-300,0\n300,0\n", {"s_c": None, "theta_c_exact": False}),
+    ({"kind": "csv"}, "0.5,2\n", {"theta_c": 1.0, "s_c": 0.0,
+                                   "theta_c_exact": False}),
+], ids=["certified_sphere", "mixture", "wide_pair", "single_point"])
+def test_bifurcate_reads_the_critical_level_from_its_dataset(
+        tmp_path, dataset, points, expect):
+    if points is not None:
+        (tmp_path / "points.csv").write_text(points)
+        dataset = {**dataset, "path": str(tmp_path / "points.csv")}
+    code, out = run_cli(tmp_path, "bifurcate", {"dataset": dataset,
+                                                "bifurcate": {"theta_count": 8}})
+    assert code == 0
+    crit = json.loads((out / "critical.json").read_text())
+    assert {k: crit[k] for k in expect} == expect
+    if crit["s_c"] is not None:
+        assert crit["s_c"] == VpSchedule().invert_theta(crit["theta_c"])
+
+
+def test_bifurcate_seed_flag_draws_the_dataset(tmp_path):
+    cfg = {"dataset": {"kind": "hypersphere", "d": 3, "n": 8, "seed": 0},
+           "bifurcate": {"theta_count": 8}}
+    crit, seeds = [], []
+    for seed in ("11", "12"):
+        code, out = run_cli(tmp_path, "bifurcate", cfg, "--seed", seed)
+        assert code == 0
+        crit.append(json.loads((out / "critical.json").read_text())["theta_c"])
+        seeds.append(json.loads((out / "manifest.json").read_text())
+                     ["config"]["dataset"]["seed"])
+    assert crit[0] != crit[1]
+    assert seeds == [11, 12]
 
 
 def test_bifurcate_consumes_sweep_table(tmp_path):
@@ -198,8 +243,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                                SAMPLE_CFG.items()
                                                if k == "sampler"}}),
         ("sweep", SAMPLE_CFG),                                      # no sweep
-        ("bifurcate", {"bifurcate": {"sphere_d": 3,
-                                     "sphere_r": float("nan")}}),   # NaN
+        ("bifurcate", {"dataset": {"kind": "hypersphere", "d": 3, "n": 8,
+                                   "r": float("nan")},
+                       "bifurcate": {}}),                           # NaN
     ]
     for command, cfg in cases:
         code, _ = run_cli(tmp_path, command, cfg)
@@ -224,6 +270,9 @@ SWEEP_HEADER = "dataset,s=0.2,s=0.4,s=0.6,s=0.8,s=1\n"
     ("sample", SAMPLE_CFG, ["--seed", str(2 ** 64)], None),
     ("bifurcate", {"bifurcate": {"theta_count": 8}}, ["--seed", str(2 ** 64)],
      None),
+    ("bifurcate", {"dataset": {"kind": "hypersphere", "d": 3, "n": 8,
+                               "r": float("nan")},
+                   "bifurcate": {"theta_count": 8}}, [], None),
     (["dataset", "generate"], {"dataset": {"kind": "hypersphere", "d": 2,
                                            "n": 5, "seed": 2 ** 64}}, [], None),
     ("sample", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
@@ -248,7 +297,8 @@ SWEEP_HEADER = "dataset,s=0.2,s=0.4,s=0.6,s=0.8,s=1\n"
                                           "seed": 2 ** 64 - 1},
                "sweep": {"s_start_grid": [0.2, 0.4, 0.6, 0.8, 1.0],
                          "repeats": 2}}, [], None),
-], ids=["sampler_seed", "flag_seed", "bifurcate_flag_seed", "dataset_seed",
+], ids=["sampler_seed", "flag_seed", "bifurcate_flag_seed",
+        "bifurcate_nan_dataset_r", "dataset_seed",
         "huge_s_min", "huge_s_start", "ragged_centers", "text_center",
         "nan_sweep_table", "inf_sweep_table", "repeated_sweep_column",
         "short_scan_grid", "normalize_list_dataset", "normalize_text_dataset",
@@ -266,8 +316,8 @@ def test_bad_inputs_exit_2_before_writing(tmp_path, capsys, command, cfg,
 
 
 @pytest.mark.parametrize("command, cfg", [
-    ("bifurcate", {"bifurcate": {"theta_count": 8, "sphere_d": 2,
-                                 "sphere_r": 1.0}}),
+    ("bifurcate", {"dataset": {"kind": "two_point_1d"},
+                   "bifurcate": {"theta_count": 8}}),
     ("sample", SAMPLE_CFG),
     ("sample", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
                                           "trajectories": True}}),

@@ -227,18 +227,16 @@ def test_build_scan_validation(schedule):
     assert build_scan({"scan": {"times": [0.5], "n_alpha": 7}}, schedule)[1] == 7
 
 
-def test_build_bifurcate_defaults_and_sphere_rule():
-    out = build_bifurcate({"bifurcate": {}})
-    assert out["theta_start"] == 0.05 and out["theta_stop"] == 0.995
-    assert out["theta_count"] == 96
-    assert out["sphere_d"] is None and out["sweep_csv"] is None
-    out = build_bifurcate({"bifurcate": {"sphere_d": 4, "sphere_r": 1.5}})
-    assert out["sphere_d"] == 4 and out["sphere_r"] == 1.5
+def test_build_bifurcate_defaults():
+    # the critical level comes from the dataset section, not from settings here
+    assert build_bifurcate({"bifurcate": {}}) == {
+        "theta_start": 0.05, "theta_stop": 0.995, "theta_count": 96,
+        "sweep_csv": None}
 
 
 def test_build_bifurcate_validation():
-    with pytest.raises(ConfigError, match="go together"):
-        build_bifurcate({"bifurcate": {"sphere_d": 4}})
+    with pytest.raises(ConfigError, match=r"bifurcate\.theta_count"):
+        build_bifurcate({"bifurcate": {"theta_count": 1}})
     with pytest.raises(ConfigError, match=r"bifurcate\.theta_stop"):
         build_bifurcate({"bifurcate": {"theta_start": 0.9, "theta_stop": 0.5}})
     with pytest.raises(ConfigError, match=r"sweep_csv"):
@@ -248,8 +246,8 @@ def test_build_bifurcate_validation():
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
 def test_non_finite_numbers_are_rejected(tmp_path, value):
     # NaN compares false against every bound, so range checks alone pass it
-    cfg = load_config(_write(tmp_path, f"bifurcate: {{sphere_d: 3, sphere_r: {value}}}\n"))
-    with pytest.raises(ConfigError, match=r"bifurcate\.sphere_r: must be finite"):
+    cfg = load_config(_write(tmp_path, f"bifurcate: {{theta_start: {value}}}\n"))
+    with pytest.raises(ConfigError, match=r"bifurcate\.theta_start: must be finite"):
         build_bifurcate(cfg)
     cfg = load_config(_write(tmp_path, f"bifurcate: {{theta_stop: {value}}}\n"))
     with pytest.raises(ConfigError, match=r"bifurcate\.theta_stop: must be finite"):

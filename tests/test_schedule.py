@@ -95,6 +95,19 @@ def test_time_domain_is_enforced(schedule):
         schedule.theta_at(1.1)
 
 
+def test_nan_time_is_rejected(schedule):
+    # NaN fails every comparison, so the range test must be written positively
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        schedule.theta_at(nan)
+    with pytest.raises(DomainError):
+        schedule.beta_at(nan)
+    with pytest.raises(DomainError):
+        schedule.theta_at([0.5, nan])
+    with pytest.raises(DomainError):
+        schedule.beta_at(np.array([nan, 0.5]))
+
+
 def test_constructor_validation():
     with pytest.raises(DomainError):
         VpSchedule(beta_min=0.0)
