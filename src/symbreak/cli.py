@@ -84,7 +84,26 @@ def cmd_bifurcate(cfg: dict, out: Path) -> list[str]:
     return ["branches.csv", "critical.json"]
 
 
+def _trajectory_blocks(trajectories: np.ndarray, s_grid: np.ndarray):
+    """One (batch, 3 + D) block per grid node: step, s, chain, x...
+
+    The block is reused from node to node, so each must be written before
+    the next is drawn.  step and chain are floats, which write_csv prints
+    as the integers they hold.
+    """
+    batch, _, dim = trajectories.shape
+    block = np.empty((batch, 3 + dim))
+    block[:, 2] = np.arange(batch)
+    for k, s in enumerate(s_grid):
+        block[:, 0] = k
+        block[:, 1] = s
+        block[:, 3:] = trajectories[:, k]
+        yield block
+
+
 def cmd_sample(cfg: dict, out: Path) -> list[str]:
+    """finals.csv, one row per chain; with `trajectories: true` also
+    trajectories.csv, every chain at every grid node, node by node."""
     model = cfgmod.build_model(cfg)
     scfg, batch, keep = cfgmod.build_sampler(cfg, model.schedule)
     run = samplers.run_sampler(model, scfg, batch, keep_trajectories=keep)
@@ -93,8 +112,7 @@ def cmd_sample(cfg: dict, out: Path) -> list[str]:
     if keep:
         datasets.write_csv(
             out / "trajectories.csv",
-            ([k, s, i, *run.trajectories[i, k]]
-             for k, s in enumerate(run.s_grid) for i in range(batch)),
+            _trajectory_blocks(run.trajectories, run.s_grid),
             header=["step", "s", "chain"]
             + [f"x_{i}" for i in range(model.dataset.dim)])
         outputs.append("trajectories.csv")

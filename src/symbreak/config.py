@@ -22,6 +22,9 @@ Grammar (all sections optional unless a command needs them):
       theta_start, theta_stop, theta_count
       sweep_csv             (optional knee input)
 
+A section may hold only its own keys, those of any of its kinds; any
+other key is a ConfigError naming the section and the key.
+
 Start times may be floats in (0, 1] or integer step indices on the
 schedule's reference grid (e.g. 800 means 800/1000); integers larger
 than 1 are treated as indices.
@@ -56,14 +59,34 @@ def load_config(path) -> dict:
     return cfg
 
 
+# The keys each section may hold: the grammar above, for every kind at once.
+_KEYS = {
+    "dataset": ("kind", "d", "r", "n", "seed", "centers", "std", "n_per_mode",
+                "path", "normalize"),
+    "dataset.normalize": ("radius",),
+    "schedule": ("beta_min", "beta_max", "n_steps"),
+    "sampler": ("kind", "n_steps", "s_start", "init", "s_min", "seed", "batch",
+                "trajectories"),
+    "sweep": ("s_start_grid", "repeats"),
+    "scan": ("times", "theta_targets", "n_alpha", "smoothing_window"),
+    "bifurcate": ("theta_start", "theta_stop", "theta_count", "sweep_csv"),
+}
+
+
 def _section(cfg: dict, name: str, required: bool) -> dict:
-    sec = cfg.get(name)
+    """The mapping cfg[name] ({} if absent), checked against _KEYS[name];
+    a dotted name reads its last part from cfg, the enclosing section."""
+    sec = cfg.get(name.rpartition(".")[2])
     if sec is None:
         if required:
             raise ConfigError(f"{name}: section is required for this command")
         return {}
     if not isinstance(sec, dict):
         raise ConfigError(f"{name}: must be a mapping")
+    for key in sec:
+        if key not in _KEYS[name]:
+            raise ConfigError(f"{name}: unknown key {key!r}; expected some of "
+                              f"{list(_KEYS[name])}")
     return sec
 
 
@@ -176,10 +199,8 @@ def build_dataset(cfg: dict) -> datasets.EmpiricalDataset:
             ds = datasets.load_csv(path)
         except OSError as exc:
             raise ConfigError(f"dataset.path: cannot read {path}: {exc}") from exc
-    norm = sec.get("normalize")
-    if norm is not None:
-        if not isinstance(norm, dict):
-            raise ConfigError("dataset.normalize: must be a mapping")
+    if sec.get("normalize") is not None:
+        norm = _section(sec, "dataset.normalize", required=True)
         ds = datasets.center_and_normalize(
             ds, r=_num(norm, "dataset.normalize", "radius", 1.0, lo=1e-12))
     return ds

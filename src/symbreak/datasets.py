@@ -20,6 +20,7 @@ from .rng import stream
 
 _CERT_TOL = 1e-9
 _NORMALIZE_ROUNDS = 100  # center_and_normalize's iteration budget
+_CSV_CHUNK_ROWS = 256  # write_csv formats a numeric block this many rows at a time
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,36 @@ def center_and_normalize(dataset: EmpiricalDataset,
         f"center_and_normalize did not converge in {_NORMALIZE_ROUNDS} iterations")
 
 
+def _is_block(rows) -> bool:
+    return (isinstance(rows, np.ndarray) and rows.ndim == 2
+            and rows.dtype == np.float64)
+
+
 def write_csv(path, rows, header=()) -> None:
     """The one artifact CSV format: LF endings, float cells (np.float64
     included) at 17 significant digits so they read back exactly, every
-    other cell as the csv module writes it."""
+    other cell as the csv module writes it.
+
+    `rows` is a 2-D float64 array, or an iterable whose items are rows or
+    such arrays (numeric blocks).  A block is formatted _CSV_CHUNK_ROWS rows
+    at a time by one "%.17g" line template, the same bytes as the per-cell
+    rule, so an integer-valued float prints as an integer (exact below
+    1e17) and the text held at once stays bounded.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header:
             writer.writerow(header)
-        # float(v) first: np.float64 formats slower than a Python float
-        writer.writerows([format(float(v), ".17g") if isinstance(v, float)
-                          else v for v in row] for row in rows)
+        for item in (rows,) if _is_block(rows) else rows:
+            if not _is_block(item):
+                # float(v) first: np.float64 formats slower than a Python float
+                writer.writerow([format(float(v), ".17g")
+                                 if isinstance(v, float) else v for v in item])
+                continue
+            line = ",".join(["%.17g"] * item.shape[1]) + "\n"
+            for lo in range(0, item.shape[0], _CSV_CHUNK_ROWS):
+                chunk = item[lo:lo + _CSV_CHUNK_ROWS]
+                fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def save_csv(dataset: EmpiricalDataset, path) -> None:

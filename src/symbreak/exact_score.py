@@ -90,7 +90,11 @@ def posterior(X: np.ndarray, points: np.ndarray, theta: float, *,
     for lo in range(0, B, k):
         m = min(k, B - lo)  # a contiguous block, also when the last is short
         e = W[lo:lo + m] if weights else buf[:m * N].reshape(m, N, order=order)
-        np.matmul(np.column_stack((X[lo:lo + m], np.ones(m))), A, out=e)
+        xa = np.empty((m, D + 1))  # [x, 1]: a few us less than column_stack
+        xa[:, :D] = X[lo:lo + m]
+        xa[:, D] = 1.0
+        np.matmul(xa, A, out=e)
+        del xa  # a temporary's lifetime: held past here, it adds to the peak
         top = np.max(e, axis=1, out=log_norm[lo:lo + m])  # row max, for now
         e -= top[:, None]
         np.maximum(e, _EXP_FLOOR, out=e)

@@ -126,3 +126,11 @@ def mc_moments(model, s, n, seed):
     draws = forward_sample(model, s, n, seed)
     d = model.dataset.dim
     return draws.mean(axis=0), np.cov(draws, rowvar=False, ddof=0).reshape(d, d)
+
+
+def reference_csv(rows) -> bytes:
+    """CSV bytes by the per-cell rule, one Python format call per cell: an
+    integer as str writes it, any other number at 17 significant digits."""
+    return "".join(",".join(str(v) if isinstance(v, (int, np.integer))
+                            else format(float(v), ".17g") for v in row) + "\n"
+                   for row in rows).encode()

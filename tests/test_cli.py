@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 import yaml
 
-from symbreak import VpSchedule, bifurcation
+from symbreak import VpSchedule, bifurcation, config, samplers
 from symbreak.cli import main
+from symbreak.datasets import _CSV_CHUNK_ROWS
+
+import oracles
 
 
 def run_cli(tmp_path, command, cfg, *extra, name="cfg.yaml"):
@@ -76,6 +79,28 @@ def test_sample_trajectories_csv(tmp_path):
     assert rows[0] == ["step", "s", "chain", "x_0"]
     assert len(rows) == 1 + 5 * 3
     assert rows[1][:3] == ["0", "1", "0"]
+
+
+@pytest.mark.parametrize("kind", ["stochastic_sde", "ddim"])
+@pytest.mark.parametrize("dataset", [
+    {"kind": "two_point_1d"},
+    {"kind": "hypersphere", "d": 3, "n": 8, "seed": 2}], ids=["d1", "d3"])
+def test_trajectories_csv_matches_the_row_by_row_table(tmp_path, kind, dataset):
+    # a batch that spans chunks and ends inside one
+    batch = _CSV_CHUNK_ROWS + 44
+    cfg = {"dataset": dataset, "sampler": {
+        "kind": kind, "n_steps": 3, "batch": batch, "trajectories": True}}
+    code, out = run_cli(tmp_path, "sample", cfg)
+    assert code == 0
+    model = config.build_model(cfg)
+    scfg, _, _ = config.build_sampler(cfg, model.schedule)
+    run = samplers.run_sampler(model, scfg, batch, keep_trajectories=True)
+    dim = model.dataset.dim
+    header = ",".join(["step", "s", "chain"] + [f"x_{i}" for i in range(dim)])
+    rows = ([k, s, i, *run.trajectories[i, k]]
+            for k, s in enumerate(run.s_grid) for i in range(batch))
+    assert (out / "trajectories.csv").read_bytes() == (
+        header.encode() + b"\n" + oracles.reference_csv(rows))
 
 
 def test_sweep_artifacts(tmp_path):
@@ -313,6 +338,51 @@ def test_bad_inputs_exit_2_before_writing(tmp_path, capsys, command, cfg,
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, cfg, section, key", [
+    ("sample", {**SAMPLE_CFG, "dataset": {"kind": "two_point_1d", "dim": 1}},
+     "dataset", "dim"),
+    ("sample", {**SAMPLE_CFG, "schedule": {"beta_min": 0.1, "steps": 50}},
+     "schedule", "steps"),
+    ("sample", {**SAMPLE_CFG, "sampler": {**SAMPLE_CFG["sampler"],
+                                          "trajectory": True}},
+     "sampler", "trajectory"),
+    ("sweep", {**SAMPLE_CFG, "sweep": {"s_start_grid": [0.2, 0.4, 0.6, 0.8, 1.0],
+                                       "repeat": 2}}, "sweep", "repeat"),
+    ("scan", {**SAMPLE_CFG, "scan": {"times": [0.5], "alpha_count": 21}},
+     "scan", "alpha_count"),
+    ("bifurcate", {"bifurcate": {"bogus": 1, "sphere_d": 3}}, "bifurcate",
+     "bogus"),
+    (["dataset", "generate"], {"dataset": {"kind": "two_point_1d",
+                                           "normalize": {"r": 2.0}}},
+     "dataset.normalize", "r"),
+], ids=["dataset", "schedule", "sampler", "sweep", "scan", "bifurcate",
+        "dataset.normalize"])
+def test_unknown_config_keys_exit_2_before_writing(tmp_path, capsys, command,
+                                                   cfg, section, key):
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {section}: unknown key {key!r}")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["two_point_1d", "hypersphere",
+                                  "gaussian_mixture", "csv"])
+def test_seed_flag_passes_the_key_check_for_every_dataset_kind(tmp_path, kind):
+    # --seed writes dataset.seed even for the kinds that draw nothing
+    pts = tmp_path / "pts.csv"
+    pts.write_text("-1,0\n1,0\n")
+    dataset = {"two_point_1d": {"kind": kind},
+               "hypersphere": {"kind": kind, "d": 2, "n": 4},
+               "gaussian_mixture": {"kind": kind, "centers": [[0.0]],
+                                    "std": 0.1, "n_per_mode": 3},
+               "csv": {"kind": kind, "path": str(pts)}}[kind]
+    code, out = run_cli(tmp_path, ["dataset", "generate"],
+                        {"dataset": dataset}, "--seed", "4")
+    assert code == 0
+    assert (out / "points.csv").exists()
 
 
 @pytest.mark.parametrize("command, cfg", [

@@ -1,11 +1,20 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from symbreak import (EmpiricalDataset, center_and_normalize, gaussian_mixture,
                       hypersphere, load_csv, save_csv, two_point_1d)
-from symbreak.datasets import write_csv
+from symbreak.datasets import _CSV_CHUNK_ROWS, write_csv
 from symbreak.errors import (DegenerateDataError, DomainError, ParseError,
                              ShapeError)
+
+import oracles
 
 
 def test_two_point_contents_and_certificates():
@@ -140,6 +149,47 @@ def test_write_csv_reads_back_exactly(tmp_path):
     back = load_csv(path).points
     assert np.array_equal(back, values)
     assert np.signbit(back[0, 2])
+
+
+# no .map(): hypothesis fills long arrays only from reusable strategies
+_CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 7.0, -3.0, 255.0,
+    123456.0, 2.0 ** 53, 1e16, 99999999999999984.0])
+# short blocks, and blocks that end just before, on and after a chunk edge
+_ROWS = st.integers(0, 6) | st.integers(_CSV_CHUNK_ROWS - 2, _CSV_CHUNK_ROWS + 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(_ROWS, st.integers(1, 6)),
+                  elements=_CELLS))
+def test_write_csv_blocks_match_the_per_cell_rule(values):
+    # as the rows themselves, in a column-major copy, and as one block among
+    # text rows
+    want = oracles.reference_csv(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "block.csv"
+        write_csv(path, values)
+        assert path.read_bytes() == want
+        write_csv(path, np.asfortranarray(values), header=["h"])
+        assert path.read_bytes() == b"h\n" + want
+        write_csv(path, [["a", 0.5], values, ["b", 2]])
+        assert path.read_bytes() == b"a,0.5\n" + want + b"b,2\n"
+
+
+def test_write_csv_peak_does_not_grow_with_the_block(tmp_path):
+    # chunks bound the text held at once; formatting the whole block in one
+    # shot would grow the peak by several MB here
+    peaks = []
+    for rows in (2000, 20000):
+        values = np.linspace(-1.0, 1.0, rows * 8).reshape(rows, 8) / 3.0
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", values)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6, peaks
 
 
 def test_load_csv_error_messages(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -420,6 +421,11 @@ def test_empty_batch_gives_empty_outputs(gmm_model):
 
 
 def _peak_bytes(fn, *args):
+    # a full collection empties the interpreter's free lists, so every Python
+    # object the call makes is a traced allocation; otherwise a tuple taken
+    # from a free list (untraced) in one call and malloc'd in another moves
+    # the peak by 56 bytes a time
+    gc.collect()
     tracemalloc.start()
     try:
         fn(*args)
