@@ -56,10 +56,11 @@ class GeneralFixedPoints:
 def critical_theta_cov(lam: float) -> float:
     """sqrt(sqrt(1 + lam^2) - lam), lam the data covariance's top eigenvalue:
     where the origin loses stability.  Exact for centered data of one norm
-    (the origin is then a fixed point), an estimate otherwise."""
+    (the origin is then a fixed point), an estimate otherwise.  Evaluated as
+    1 / sqrt(sqrt(1 + lam^2) + lam), which has no cancellation at large lam."""
     if not 0 <= lam < np.inf:
         raise DomainError(f"critical_theta_cov requires finite lam >= 0: {lam}")
-    return float(np.sqrt(np.sqrt(1.0 + lam * lam) - lam))
+    return float(1.0 / np.sqrt(np.sqrt(1.0 + lam * lam) + lam))
 
 
 def critical_theta_1d() -> float:

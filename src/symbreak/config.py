@@ -22,8 +22,8 @@ Grammar (all sections optional unless a command needs them):
       theta_start, theta_stop, theta_count
       sweep_csv             (optional knee input)
 
-A section may hold only its own keys, those of any of its kinds; any
-other key is a ConfigError naming the section and the key.
+The root may hold only these six sections, and a section only its own
+keys, those of any of its kinds; any other key is a ConfigError naming it.
 
 Start times may be floats in (0, 1] or integer step indices on the
 schedule's reference grid (e.g. 800 means 800/1000); integers larger
@@ -56,6 +56,11 @@ def load_config(path) -> dict:
         cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
+    sections = [name for name in _KEYS if "." not in name]
+    for key in cfg:
+        if key not in sections:
+            raise ConfigError(f"config: unknown section {key!r}; expected one "
+                              f"of {sections}")
     return cfg
 
 

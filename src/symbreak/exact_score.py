@@ -68,16 +68,16 @@ def posterior(X: np.ndarray, points: np.ndarray, theta: float, *,
     adds the per-point bias b.  Each row is shifted by its max, floored at
     -700 (so exp stays on its fast path; a weight below e^-700 of the row's
     top comes back as e^-700 / z, not 0 or a subnormal), exponentiated and
-    summed by a gemv against ones; the mean divides the (B, D) product by the
-    row sums.  Rows go in blocks through one reused buffer, or in one block
-    straight into the returned weights.  A block is point-major (column-major
+    summed by a gemv against ones; the mean divides the (B, D) product, and
+    the weights each block, by the row sums.  Rows go in blocks through one
+    reused buffer, for every output.  A block is point-major (column-major
     memory) when it holds at least N rows, so the row max runs down
     contiguous points, and row-major otherwise: wide rows reduce fast, and
     point-major (62, 2048) blocks made the N = 2048 kernel 5-20% slower.
     """
     B, (N, D) = X.shape[0], points.shape
     var = 1.0 - theta * theta
-    k = max(1, B if weights else min(B, _BLOCK_ENTRIES // (N + D + 2)))
+    k = max(1, min(B, _BLOCK_ENTRIES // (N + D + 2)))
     order = "F" if N <= k else "C"  # point-major: max down contiguous rows
     A = np.empty((D + 1, N))  # [(theta/var) Y^T ; bias]
     np.multiply(points.T, theta / var, out=A[:D])
@@ -85,11 +85,11 @@ def posterior(X: np.ndarray, points: np.ndarray, theta: float, *,
     ones = np.ones(N)
     log_norm = np.empty(B)
     M = None
-    W = np.empty((B, N), order=order) if weights else None
-    buf = None if weights else np.empty(k * N)
+    W = np.empty((B, N)) if weights else None
+    buf = np.empty(k * N)
     for lo in range(0, B, k):
         m = min(k, B - lo)  # a contiguous block, also when the last is short
-        e = W[lo:lo + m] if weights else buf[:m * N].reshape(m, N, order=order)
+        e = buf[:m * N].reshape(m, N, order=order)
         xa = np.empty((m, D + 1))  # [x, 1]: a few us less than column_stack
         xa[:, :D] = X[lo:lo + m]
         xa[:, D] = 1.0
@@ -107,7 +107,7 @@ def posterior(X: np.ndarray, points: np.ndarray, theta: float, *,
             np.matmul(e, points, out=M[lo:lo + m])
             M[lo:lo + m] /= z[:, None]
         if weights:
-            e /= z[:, None]
+            np.divide(e, z[:, None], out=W[lo:lo + m])
         top += np.log(z)
     if mean and M is None:  # an empty batch
         M = np.empty((0, D))
@@ -175,10 +175,11 @@ class ExactScoreModel:
                 f"expected one state, got {X.shape[0]}; use the _batch method")
         return X
 
-    def _posterior(self, X: np.ndarray, s: float, **want):
-        """posterior at forward time s, plus (theta, var)."""
+    def _posterior(self, x, s: float, **want):
+        """(X, post, theta, var): x as a checked batch, its posterior at s."""
+        X = self._as_batch(x)
         theta, var = self._s_forward(s)
-        return posterior(X, self.dataset.points, theta, **want), theta, var
+        return X, posterior(X, self.dataset.points, theta, **want), theta, var
 
     # -- density and score -------------------------------------------------
 
@@ -189,47 +190,43 @@ class ExactScoreModel:
                 - np.log(n) - 0.5 * d * np.log(2.0 * np.pi * var))
 
     def mixture_logpdf_batch(self, X, s: float) -> np.ndarray:
-        X = self._as_batch(X)
-        post, _, var = self._posterior(X, s, mean=False)
+        X, post, _, var = self._posterior(X, s, mean=False)
         return self._logpdf(X, post, var)
 
     def mixture_logpdf(self, x, s: float) -> float:
         return float(self.mixture_logpdf_batch(self._as_point(x), s)[0])
 
     def posterior_weights_batch(self, X, s: float) -> np.ndarray:
-        X = self._as_batch(X)
-        post, _, _ = self._posterior(X, s, mean=False, weights=True)
-        return post.weights
+        return self._posterior(X, s, mean=False, weights=True)[1].weights
+
+    @staticmethod
+    def _score(X: np.ndarray, mean: np.ndarray, theta: float,
+               var: float) -> np.ndarray:
+        """(theta * mean - X) / var, in place in the posterior mean."""
+        mean *= theta
+        mean -= X
+        mean /= var
+        return mean
 
     def score_batch(self, X, s: float) -> np.ndarray:
         """Gradient of log p(x, s) wrt x: sum_j w_j (theta*y_j - x) / var."""
-        X = self._as_batch(X)
-        post, theta, var = self._posterior(X, s)
-        sc = post.mean  # (theta * mean - X) / var, in place
-        sc *= theta
-        sc -= X
-        sc /= var
-        return sc
+        X, post, theta, var = self._posterior(X, s)
+        return self._score(X, post.mean, theta, var)
 
     def posterior_mean_batch(self, X, s: float) -> np.ndarray:
         """Denoiser output E[Y0 | x at time s] = sum_j w_j y_j."""
-        X = self._as_batch(X)
-        post, _, _ = self._posterior(X, s)
-        return post.mean
+        return self._posterior(X, s)[1].mean
 
     def score(self, x, s: float) -> ScoreEval:
-        X = self._as_point(x)
-        post, theta, var = self._posterior(X, s, weights=True)
-        sc = (theta * post.mean - X) / var
-        return ScoreEval(float(self._logpdf(X, post, var)[0]), sc[0],
-                         post.weights[0])
+        X, post, theta, var = self._posterior(self._as_point(x), s, weights=True)
+        return ScoreEval(float(self._logpdf(X, post, var)[0]),
+                         self._score(X, post.mean, theta, var)[0], post.weights[0])
 
     # -- potential and curvature -------------------------------------------
 
     def potential_batch(self, X, t: float) -> np.ndarray:
         s = self._s_of_t(t)
-        X = self._as_batch(X)
-        post, _, var = self._posterior(X, s, mean=False)
+        X, post, _, var = self._posterior(X, s, mean=False)
         beta = self.schedule.beta_at(s)
         # -|x|^2/4 minus the log-kernel sum, log_norm - |x|^2 / (2 var)
         return beta * ((0.5 / var - 0.25) * _sq_norms(X) - post.log_norm)
@@ -240,9 +237,9 @@ class ExactScoreModel:
     def potential_gradient_batch(self, X, t: float) -> np.ndarray:
         """grad u = -beta * (score + x/2); -grad u is the generative drift."""
         s = self._s_of_t(t)
-        X = self._as_batch(X)
+        sc = self.score_batch(X, s)  # checks X
         beta = self.schedule.beta_at(s)
-        return -beta * (self.score_batch(X, s) + 0.5 * X)
+        return -beta * (sc + 0.5 * np.asarray(X, dtype=np.float64))
 
     def potential_gradient(self, x, t: float) -> np.ndarray:
         return self.potential_gradient_batch(self._as_point(x), t)[0]

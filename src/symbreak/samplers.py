@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (DivergedError, DomainError, FactorizationError,
                      ShapeError)
-from .exact_score import ExactScoreModel
+from .exact_score import ExactScoreModel, _sq_norms
 from .rng import chain_normals, check_seed, stream
 
 _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
@@ -161,7 +161,7 @@ def _check_finite(X: np.ndarray, step: int) -> None:
     # The posterior kernel's shifted logits stay finite far past any sane
     # state, so a row whose squared norm overflows counts as diverged too;
     # a non-finite entry makes its row's squared norm non-finite as well.
-    if not np.all(np.isfinite(np.einsum("ij,ij->i", X, X))):
+    if not np.all(np.isfinite(_sq_norms(X))):
         raise DivergedError(f"sampler state became non-finite at step {step}")
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -54,21 +55,28 @@ def test_critical_theta_sphere_matches_laplacian_sign_flip(sphere_model):
 
 
 def test_critical_theta_cov_owns_the_1d_value():
-    # the {-1, +1} data have covariance 1; the double-precision formula lands
-    # one ulp above the correctly rounded oracle
-    assert critical_theta_cov(1.0) == critical_theta_1d() == 0.6435942529055827
-    assert abs(critical_theta_1d() - oracles.THETA_C_1D) <= np.spacing(
-        oracles.THETA_C_1D)
+    # the {-1, +1} data have covariance 1; the level is correctly rounded
+    assert critical_theta_cov(1.0) == critical_theta_1d() == oracles.THETA_C_1D
 
 
 def test_critical_theta_sphere_matches_the_sphere_formula():
     worst = 0.0
-    for d in (1, 2, 3, 8, 64, 512):
-        for r in np.linspace(0.1, 7.0, 50):
-            r2 = r * r  # sqrt((sqrt(d^2 + r^4) - r^2) / d), no lam in it
-            sphere = np.sqrt((np.sqrt(d * d + r2 * r2) - r2) / d)
-            worst = max(worst, abs(critical_theta_sphere(d, r) / sphere - 1.0))
-    assert worst <= 1e-13
+    with mpmath.workdps(50):
+        for d in (1, 2, 3, 8, 64, 512):
+            for r in np.linspace(0.1, 7.0, 50):
+                r2 = mpmath.mpf(r) ** 2  # sqrt((sqrt(d^2 + r^4) - r^2) / d)
+                sphere = mpmath.sqrt((mpmath.sqrt(d * d + r2 * r2) - r2) / d)
+                err = abs(float(critical_theta_sphere(d, r) / sphere) - 1.0)
+                worst = max(worst, err)
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.25, 1.0, 2.0, 100.0, 1e3, 11578.0, 9e4])
+def test_critical_theta_cov_matches_mpmath(lam):
+    # large lam is where sqrt(1 + lam^2) - lam cancels
+    with mpmath.workdps(50):
+        exact = mpmath.sqrt(mpmath.sqrt(1 + mpmath.mpf(lam) ** 2) - lam)
+        assert abs(float(critical_theta_cov(lam) / exact) - 1.0) <= 5e-16
 
 
 @pytest.mark.parametrize("d, n, seed", [(3, 8, 5), (8, 64, 1), (64, 256, 2)])

@@ -47,11 +47,13 @@ def test_sample_writes_finals_and_manifest(tmp_path):
 
 def test_yaml_date_in_config_is_written_as_text(tmp_path):
     cfg_path = tmp_path / "dated.yaml"
-    cfg_path.write_text(yaml.safe_dump(SAMPLE_CFG) + "note: 2020-01-01\n")
+    # a key of the grammar that sample does not read
+    cfg_path.write_text(yaml.safe_dump(SAMPLE_CFG)
+                        + "bifurcate: {sweep_csv: 2020-01-01}\n")
     out = tmp_path / "out"
     assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["note"] == "2020-01-01"
+    assert manifest["config"]["bifurcate"]["sweep_csv"] == "2020-01-01"
 
 
 def test_sample_is_byte_reproducible_across_threads(tmp_path):
@@ -159,7 +161,7 @@ def test_bifurcate_without_a_dataset_reports_the_1d_level_only(tmp_path):
     code, out = run_cli(tmp_path, "bifurcate", {"bifurcate": {"theta_count": 8}})
     assert code == 0
     assert ((out / "critical.json").read_text()
-            == '{\n  "theta_c_1d": 0.6435942529055827\n}\n')
+            == '{\n  "theta_c_1d": 0.6435942529055826\n}\n')
 
 
 @pytest.mark.parametrize("dataset, points, expect", [
@@ -366,6 +368,15 @@ def test_unknown_config_keys_exit_2_before_writing(tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith(
         f"error: {section}: unknown key {key!r}")
     assert list(out.iterdir()) == []
+
+
+def test_unknown_config_section_exits_2_before_writing(tmp_path, capsys):
+    cfg = {**SAMPLE_CFG, "schedul": {"beta_max": 5.0}}
+    code, out = run_cli(tmp_path, "sample", cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config: unknown section 'schedul'; ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["two_point_1d", "hypersphere",

@@ -9,6 +9,7 @@ from scipy.special import logsumexp, softmax
 from symbreak import (EmpiricalDataset, ExactScoreModel, center_and_normalize,
                       gaussian_mixture, hypersphere)
 from symbreak.errors import DomainError, ShapeError
+from symbreak.exact_score import _BLOCK_ENTRIES
 from symbreak.rng import stream
 
 import oracles
@@ -459,3 +460,48 @@ def test_potential_peaks_far_below_the_kernel_matrix(schedule):
     model = ExactScoreModel(hypersphere(D, 1.0, N, seed=4), schedule)
     peak = _peak_bytes(model.potential_batch, stream(24).standard_normal((B, D)), 0.4)
     assert peak < 3e6, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("N, D", [(64, 2), (2048, 64)])
+def test_full_blocks_equal_the_block_alone(schedule, N, D):
+    # every output walks the same row blocks, so each full block of a longer
+    # batch is the same bytes as that block evaluated alone
+    model = ExactScoreModel(hypersphere(D, 1.0, N, seed=4), schedule)
+    k = _BLOCK_ENTRIES // (N + D + 2)
+    X = stream(24).standard_normal((3 * k + 5, D))
+    for method in ("posterior_weights_batch", "posterior_mean_batch",
+                   "score_batch"):
+        fn = getattr(model, method)
+        for s in (0.05, 0.4):
+            whole = fn(X, s)
+            for lo in range(0, 3 * k, k):
+                assert np.array_equal(whole[lo:lo + k], fn(X[lo:lo + k], s)), (
+                    method, s, lo)
+
+
+@pytest.mark.parametrize("shape", ["gmm", "sphere64"])
+def test_single_point_methods_equal_their_one_row_batch(schedule, shape):
+    model = _shape_model(schedule, shape)
+    x = 1.2 * stream(26).standard_normal(model.dataset.dim)
+    X = x[None, :]
+    for s in (1e-4, 0.05, 0.3, 1.0):
+        t = schedule.horizon - s
+        ev = model.score(x, s)
+        assert np.array_equal(ev.score, model.score_batch(X, s)[0])
+        assert ev.log_density == model.mixture_logpdf_batch(X, s)[0]
+        assert np.array_equal(ev.weights, model.posterior_weights_batch(X, s)[0])
+        assert model.mixture_logpdf(x, s) == model.mixture_logpdf_batch(X, s)[0]
+        assert model.potential(x, t) == model.potential_batch(X, t)[0]
+        assert np.array_equal(model.potential_gradient(x, t),
+                              model.potential_gradient_batch(X, t)[0])
+
+
+def test_weights_scratch_stays_bounded(schedule):
+    # beyond its (B, N) output, the weights path holds what every kernel
+    # call holds: the (D + 1, N) operand and one block of scratch
+    B, N, D = 512, 2048, 64
+    model = ExactScoreModel(hypersphere(D, 1.0, N, seed=4), schedule)
+    X = stream(24).standard_normal((B, D))
+    peak = _peak_bytes(model.posterior_weights_batch, X, 0.4)
+    scratch = peak - B * N * 8
+    assert scratch <= (D + 1) * N * 8 + _BLOCK_ENTRIES * 8 + 512 * 1024, scratch
