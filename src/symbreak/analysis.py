@@ -101,7 +101,6 @@ class QualityReport:
     frechet: float
     n_reference: int
     n_generated: int
-    jittered: bool = False
 
 
 def _gaussian_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,9 +114,8 @@ def frechet_gaussian(reference, generated) -> QualityReport:
     """Squared 2-Wasserstein distance between Gaussian fits of two point sets.
 
     |mu1-mu2|^2 + tr(S1 + S2 - 2 (S1^1/2 S2 S1^1/2)^1/2), computed by
-    symmetric eigendecomposition with negative eigenvalues clamped to zero.
-    Rank-deficient covariances get a 1e-10 diagonal jitter and are flagged,
-    not fatal.
+    symmetric eigendecomposition with negative eigenvalues clamped to zero,
+    so rank-deficient covariances need no special case.
     """
     ref = np.asarray(reference, dtype=np.float64)
     gen = np.asarray(generated, dtype=np.float64)
@@ -127,15 +125,6 @@ def frechet_gaussian(reference, generated) -> QualityReport:
         raise DomainError("both point sets must be nonempty")
     mu1, cov1 = _gaussian_fit(ref)
     mu2, cov2 = _gaussian_fit(gen)
-    jittered = False
-    for cov in (cov1, cov2):
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs.min() < 1e-12 * max(1.0, eigs.max()):
-            jittered = True
-    if jittered:
-        eye = 1e-10 * np.eye(ref.shape[1])
-        cov1 = cov1 + eye
-        cov2 = cov2 + eye
 
     def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
         vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
@@ -145,8 +134,7 @@ def frechet_gaussian(reference, generated) -> QualityReport:
     inner = _psd_sqrt(root1 @ cov2 @ root1)
     val = (np.sum((mu1 - mu2) ** 2)
            + np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(inner))
-    return QualityReport(max(float(val), 0.0), ref.shape[0], gen.shape[0],
-                         jittered)
+    return QualityReport(max(float(val), 0.0), ref.shape[0], gen.shape[0])
 
 
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

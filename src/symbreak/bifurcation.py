@@ -23,8 +23,7 @@ from .rng import stream
 # labeling stability (rings of fixed points have near-zero tangential modes).
 _EIG_BAND = 1e-9
 _NEAR_CRITICAL = 1e-12
-# fixed_points_general's damping, convergence step norm and dedup distance
-_DAMPING = 0.5
+# fixed_points_general's convergence residual and dedup distance
 _TOL = 1e-10
 _DEDUP = 1e-6
 _N_RANDOM_SEEDS = 8  # random-direction starts in default_seed_points
@@ -57,10 +56,15 @@ def critical_theta_cov(lam: float) -> float:
     """sqrt(sqrt(1 + lam^2) - lam), lam the data covariance's top eigenvalue:
     where the origin loses stability.  Exact for centered data of one norm
     (the origin is then a fixed point), an estimate otherwise.  Evaluated as
-    1 / sqrt(sqrt(1 + lam^2) + lam), which has no cancellation at large lam."""
+    1 / sqrt(sqrt(1 + lam^2) + lam), which has no cancellation at large lam,
+    and as 1 / sqrt(2 lam) where lam^2 overflows."""
     if not 0 <= lam < np.inf:
         raise DomainError(f"critical_theta_cov requires finite lam >= 0: {lam}")
-    return float(1.0 / np.sqrt(np.sqrt(1.0 + lam * lam) + lam))
+    lam = float(lam)
+    if lam * lam < np.inf:
+        return float(1.0 / np.sqrt(np.sqrt(1.0 + lam * lam) + lam))
+    # sqrt(1 + lam^2) rounds to lam long before here; 2 lam may overflow
+    return float(0.5 / np.sqrt(0.5 * lam))
 
 
 def critical_theta_1d() -> float:
@@ -144,14 +148,15 @@ def default_seed_points(dataset: EmpiricalDataset,
 
 def fixed_points_general(model: ExactScoreModel, theta: float,
                          seeds: list | None = None) -> GeneralFixedPoints:
-    """Damped self-consistency iteration from multiple starting points.
+    """Self-consistency iteration x <- g(x) from multiple starting points.
 
     All seeds iterate as one batch through the model's posterior kernel,
-    x <- (1-d)*x + d*(2 theta/(1+theta^2)) E_w[Y|x] with d = _DAMPING; a seed
-    leaves the batch once its step norm drops below _TOL.  Converged points
-    are deduplicated at distance _DEDUP in seed order and labeled by the
-    eigenvalues of the analytic curvature matrix.  Seeds that exhaust the
-    _MAX_ITER budget are reported, not fatal.
+    g(x) = (2 theta/(1+theta^2)) E_w[Y|x], whose Jacobian is a nonnegative
+    multiple of Cov_w[Y], so the undamped map cannot oscillate.  A seed
+    leaves the batch once its residual |g(x) - x| drops below _TOL.
+    Converged points are deduplicated at distance _DEDUP in seed order and
+    labeled by the eigenvalues of the analytic curvature matrix.  Seeds that
+    exhaust the _MAX_ITER budget are reported, not fatal.
     """
     if not 0 < theta < 1:
         raise DomainError("fixed_points_general requires theta in (0, 1)")
@@ -171,10 +176,9 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
         if not active.size:
             break
         Xa = X[active]
-        step = _DAMPING * (gain * posterior(Xa, Y, theta).mean - Xa)
-        X[active] = Xa + step
-        # a NaN step never counts as converged
-        active = active[~(np.linalg.norm(step, axis=1) < _TOL)]
+        X[active] = g = gain * posterior(Xa, Y, theta).mean
+        # the step is the residual g(x) - x; a NaN one never counts as converged
+        active = active[~(np.linalg.norm(g - Xa, axis=1) < _TOL)]
     converged = np.setdiff1d(np.arange(len(seeds)), active)
     found = np.empty((converged.size, X.shape[1]))  # rows [:n] kept so far
     n = 0

@@ -4,8 +4,9 @@ Grammar (all sections optional unless a command needs them):
 
     dataset:
       kind: two_point_1d | hypersphere | gaussian_mixture | csv
-      d/r/n/seed            (hypersphere)
-      centers/std/n_per_mode/seed   (gaussian_mixture)
+      seed                  (any kind; only the random kinds draw)
+      d/r/n                 (hypersphere)
+      centers/std/n_per_mode        (gaussian_mixture)
       path                  (csv)
       normalize: {radius: R}        (optional post-processing, any kind)
     schedule:
@@ -23,7 +24,8 @@ Grammar (all sections optional unless a command needs them):
       sweep_csv             (optional knee input)
 
 The root may hold only these six sections, and a section only its own
-keys, those of any of its kinds; any other key is a ConfigError naming it.
+keys (a dataset section only those of its kind); any other key is a
+ConfigError naming it.
 
 Start times may be floats in (0, 1] or integer step indices on the
 schedule's reference grid (e.g. 800 means 800/1000); integers larger
@@ -64,10 +66,14 @@ def load_config(path) -> dict:
     return cfg
 
 
-# The keys each section may hold: the grammar above, for every kind at once.
+# The keys each section may hold: the grammar above; a dataset's per kind.
+_ANY_DATASET = ("kind", "seed", "normalize")
 _KEYS = {
-    "dataset": ("kind", "d", "r", "n", "seed", "centers", "std", "n_per_mode",
-                "path", "normalize"),
+    "dataset": {"two_point_1d": _ANY_DATASET,
+                "hypersphere": _ANY_DATASET + ("d", "r", "n"),
+                "gaussian_mixture": _ANY_DATASET + ("centers", "std",
+                                                    "n_per_mode"),
+                "csv": _ANY_DATASET + ("path",)},
     "dataset.normalize": ("radius",),
     "schedule": ("beta_min", "beta_max", "n_steps"),
     "sampler": ("kind", "n_steps", "s_start", "init", "s_min", "seed", "batch",
@@ -79,8 +85,9 @@ _KEYS = {
 
 
 def _section(cfg: dict, name: str, required: bool) -> dict:
-    """The mapping cfg[name] ({} if absent), checked against _KEYS[name];
-    a dotted name reads its last part from cfg, the enclosing section."""
+    """The mapping cfg[name] ({} if absent), checked against _KEYS[name],
+    or against its kind's entry there once its kind is checked; a dotted
+    name reads its last part from cfg, the enclosing section."""
     sec = cfg.get(name.rpartition(".")[2])
     if sec is None:
         if required:
@@ -88,10 +95,14 @@ def _section(cfg: dict, name: str, required: bool) -> dict:
         return {}
     if not isinstance(sec, dict):
         raise ConfigError(f"{name}: must be a mapping")
+    allowed, where = _KEYS[name], ""
+    if isinstance(allowed, dict):
+        kind = _choice(sec, name, "kind", tuple(allowed), required=True)
+        allowed, where = allowed[kind], f" for kind {kind!r}"
     for key in sec:
-        if key not in _KEYS[name]:
-            raise ConfigError(f"{name}: unknown key {key!r}; expected some of "
-                              f"{list(_KEYS[name])}")
+        if key not in allowed:
+            raise ConfigError(f"{name}: unknown key {key!r}{where}; expected "
+                              f"some of {list(allowed)}")
     return sec
 
 
@@ -173,9 +184,7 @@ def parse_time_value(value, schedule: VpSchedule, field: str) -> float:
 
 def build_dataset(cfg: dict) -> datasets.EmpiricalDataset:
     sec = _section(cfg, "dataset", required=True)
-    kind = _choice(sec, "dataset", "kind",
-                   ("two_point_1d", "hypersphere", "gaussian_mixture", "csv"),
-                   required=True)
+    kind = sec["kind"]  # checked by _section
     if kind == "two_point_1d":
         ds = datasets.two_point_1d()
     elif kind == "hypersphere":

@@ -1,0 +1,221 @@
+"""Print one `name sha256` line for each CLI artifact and API output.
+
+    PYTHONPATH=src python3 tests/artifact_hashes.py > hashes.txt
+
+Run it on two checkouts, each with its own `src` on PYTHONPATH, and `diff`
+the two outputs: the names that differ are the bytes a change moved.  It
+covers
+
+- 11 CLI runs with `--seed 11`: `sample` with trajectories for each sampler
+  kind, two `sweep`s, one `scan`, `bifurcate` with and without a dataset,
+  and `dataset generate`, `normalize` and `inspect`;
+- the benchmark's `landscape` commands (`bench/workloads.py`) at bench
+  seeds 0, 3 and 7;
+- every `ExactScoreModel` batch method, `score` and `hessian` on the
+  two-point, a 3-mode mixture and an N=2048, D=64 sphere sample, at
+  batches 1, 7 and 513 and four forward times;
+- `run_sampler` for each kind and init, `fixed_points_general`,
+  `frechet_gaussian` and `critical_theta_cov`.
+
+Manifests are skipped: they hold wall times.  This is a script, not a
+collected test.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import yaml
+
+from symbreak import (EmpiricalDataset, ExactScoreModel, SamplerConfig,
+                      VpSchedule, analysis, bifurcation, center_and_normalize,
+                      cli, gaussian_mixture, hypersphere, run_sampler,
+                      two_point_1d)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_SEEDS = (0, 3, 7)
+GMM3 = [[1.5, 0.3], [-0.6, 1.2], [-1.4, -0.7]]
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(repr((part.dtype.str, part.shape)).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def _artifacts(name: str, out: Path):
+    for path in sorted(out.iterdir()):
+        if path.name != "manifest.json":
+            yield f"{name}/{path.name}", digest(path.read_bytes())
+
+
+def _cli(name: str, argv: list[str]):
+    with contextlib.redirect_stdout(io.StringIO()):  # `dataset inspect` prints
+        code = cli.main(argv)
+    if code:
+        raise SystemExit(f"{name}: exit code {code}")
+
+
+def cli_hashes(work: Path):
+    line = work / "line.csv"
+    line.write_text("-1,0\n1,0\n")
+    gmm = {"kind": "gaussian_mixture", "centers": GMM3, "std": 0.08,
+           "n_per_mode": 16}
+    sphere8 = {"kind": "hypersphere", "d": 8, "n": 64,
+               "normalize": {"radius": 1.0}}
+    sweep = {"s_start_grid": [0.2, 0.4, 0.6, 0.8, 1.0], "repeats": 2}
+    runs = [
+        ("sample_sde", "sample", {
+            "dataset": {"kind": "two_point_1d"},
+            "sampler": {"kind": "stochastic_sde", "n_steps": 20, "batch": 16,
+                        "trajectories": True}}),
+        ("sample_ancestral", "sample", {
+            "dataset": gmm,
+            "sampler": {"kind": "ancestral_ddpm", "n_steps": 20, "batch": 16,
+                        "init": "gls", "s_start": 0.6, "trajectories": True}}),
+        ("sample_ddim", "sample", {
+            "dataset": sphere8,
+            "sampler": {"kind": "ddim", "n_steps": 10, "batch": 16,
+                        "init": "gls", "s_start": 0.5, "trajectories": True}}),
+        ("sweep_sde", "sweep", {
+            "dataset": gmm, "sweep": sweep,
+            "sampler": {"kind": "stochastic_sde", "n_steps": 30, "batch": 200}}),
+        ("sweep_ddim", "sweep", {
+            "dataset": gmm, "sweep": sweep,
+            "sampler": {"kind": "ddim", "n_steps": 5, "batch": 500,
+                        "init": "gls"}}),
+        ("scan", "scan", {
+            "dataset": {"kind": "csv", "path": str(line)},
+            "sampler": {"kind": "stochastic_sde", "n_steps": 100, "batch": 8},
+            "scan": {"times": [0.2], "theta_targets": [0.5, 0.96],
+                     "n_alpha": 61}}),
+        ("bifurcate", "bifurcate", {"bifurcate": {"theta_count": 48}}),
+        ("bifurcate_dataset", "bifurcate", {
+            "dataset": sphere8,
+            "bifurcate": {"theta_count": 48, "sweep_csv": str(
+                work / "sweep_sde" / "sweep_table.csv")}}),
+        ("generate", ["dataset", "generate"], {"dataset": gmm}),
+        ("normalize", ["dataset", "normalize"], {"dataset": gmm}),
+        ("inspect", ["dataset", "inspect"], {"dataset": {
+            "kind": "csv", "path": str(work / "normalize" / "points.csv")}}),
+    ]
+    for name, command, cfg in runs:
+        path = work / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        argv = [command] if isinstance(command, str) else command
+        _cli(name, [*argv, "--config", str(path), "--out", str(work / name),
+                    "--seed", "11"])
+        yield from _artifacts(f"cli/{name}", work / name)
+
+
+def landscape_hashes(work: Path):
+    sys.path.insert(0, str(BENCH))
+    from workloads import Landscape
+
+    for seed in BENCH_SEEDS:
+        root = work / f"landscape{seed}"
+        root.mkdir()
+        ctx = Landscape().setup(seed, root)
+        for label, argv in ctx.commands.items():
+            _cli(label, argv)
+        for label, out in ctx.out.items():
+            yield from _artifacts(f"landscape/seed{seed}/{label}", out)
+
+
+def _ring() -> EmpiricalDataset:
+    angles = 2 * np.pi * np.arange(12) / 12
+    return EmpiricalDataset(np.column_stack([np.cos(angles), np.sin(angles)]),
+                            radius=1.0, centered=True)
+
+
+def api_hashes():
+    schedule = VpSchedule()
+    data = {
+        "two_point": two_point_1d(),
+        "gmm3": gaussian_mixture(GMM3, 0.08, 16, seed=7),
+        "sphere64": hypersphere(64, 1.0, 2048, seed=1),
+    }
+    for dname, ds in data.items():
+        model = ExactScoreModel(ds, schedule)
+        for batch in (1, 7, 513):
+            X = np.random.default_rng(batch).standard_normal((batch, ds.dim))
+            for s in (1e-4, 0.05, 0.3, 1.0):
+                t = schedule.horizon - s
+                key = f"api/{dname}/B{batch}/s{s:g}"
+                outputs = {
+                    "mixture_logpdf_batch": model.mixture_logpdf_batch(X, s),
+                    "posterior_weights_batch": model.posterior_weights_batch(X, s),
+                    "score_batch": model.score_batch(X, s),
+                    "posterior_mean_batch": model.posterior_mean_batch(X, s),
+                    "potential_batch": model.potential_batch(X, t),
+                    "potential_gradient_batch":
+                        model.potential_gradient_batch(X, t),
+                }
+                if batch == 1:
+                    ev = model.score(X[0], s)
+                    outputs["score"] = (ev.log_density, ev.score, ev.weights)
+                    outputs["hessian"] = model.hessian(X[0], t)
+                for method, value in outputs.items():
+                    parts = value if isinstance(value, tuple) else (value,)
+                    yield f"{key}/{method}", digest(*parts)
+
+    gmm = ExactScoreModel(data["gmm3"], schedule)
+    for kind in ("stochastic_sde", "ancestral_ddpm", "ddim"):
+        for init in ("standard_normal", "gls"):
+            cfg = SamplerConfig(kind=kind, n_steps=10, s_start=0.7, init=init,
+                                seed=11)
+            run = run_sampler(gmm, cfg, 33, keep_trajectories=True)
+            yield (f"api/run_sampler/{kind}/{init}",
+                   digest(run.s_grid, run.finals, run.trajectories))
+
+    fixed = {
+        "two_point": (data["two_point"], (0.5, 0.8, 0.95)),
+        "gmm3": (data["gmm3"], (0.6, 0.9, 0.97)),
+        "sphere8": (center_and_normalize(hypersphere(8, 1.0, 64, seed=5),
+                                         r=1.0), (0.7, 0.9, 0.97)),
+        "ring12": (_ring(), (0.8, 0.95)),
+    }
+    for dname, (ds, thetas) in fixed.items():
+        model = ExactScoreModel(ds, schedule)
+        for theta in thetas:
+            res = bifurcation.fixed_points_general(model, theta)
+            yield (f"api/fixed_points_general/{dname}/theta{theta:g}",
+                   digest(*(p.x for p in res.points),
+                          [p.stability for p in res.points],
+                          res.n_seeds, res.failed_seeds))
+
+    rng = np.random.default_rng(5)
+    full = rng.standard_normal((200, 3))
+    flat = np.column_stack([full[:, :2], np.zeros(200)])
+    for name, ref, gen in (("full_rank", full, 0.5 * full[::-1] + 0.2),
+                           ("one_flat", flat, full),
+                           ("both_flat", flat, 2.0 * flat + 1.0)):
+        yield f"api/frechet_gaussian/{name}", digest(
+            analysis.frechet_gaussian(ref, gen).frechet)
+
+    lams = (0.0, 0.25, 1.0, 2.0, 1e3, 9e4, 1e154, 1e200, 1.7e308)
+    yield "api/critical_theta_cov", digest(
+        [bifurcation.critical_theta_cov(lam) for lam in lams])
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, sha in (*cli_hashes(work), *landscape_hashes(work),
+                          *api_hashes()):
+            print(name, sha)
+
+
+if __name__ == "__main__":
+    main()

@@ -128,6 +128,60 @@ def mc_moments(model, s, n, seed):
     return draws.mean(axis=0), np.cov(draws, rowvar=False, ddof=0).reshape(d, d)
 
 
+def euler_maruyama_step(x, score, beta, dt, z):
+    """One reverse VP-SDE step dx = -beta (x/2 + score) ds + sqrt(beta) dW,
+    taken from s to s - dt by Euler-Maruyama."""
+    return x + beta * dt * (score + 0.5 * x) + np.sqrt(beta * dt) * z
+
+
+def ddpm_posterior_step(x, x0, abar, abar_next, z):
+    """A draw from the DDPM posterior q(x_next | x, x0) (Ho et al., 2020,
+    eqs. 6-7), with alpha = abar / abar_next the step's signal factor."""
+    alpha = abar / abar_next
+    mean = (np.sqrt(abar_next) * (1.0 - alpha) / (1.0 - abar) * x0
+            + np.sqrt(alpha) * (1.0 - abar_next) / (1.0 - abar) * x)
+    std = np.sqrt((1.0 - abar_next) / (1.0 - abar) * (1.0 - alpha))
+    return mean + std * z
+
+
+def ddim_step(x, x0, abar, abar_next):
+    """One DDIM step at eta = 0 (Song et al., 2021, eq. 12): keep the
+    predicted noise, move the predicted data to the next signal level."""
+    eps = (x - np.sqrt(abar) * x0) / np.sqrt(1.0 - abar)
+    return np.sqrt(abar_next) * x0 + np.sqrt(1.0 - abar_next) * eps
+
+
+def self_consistency_map(points, theta, X):
+    """g(x) = (2 theta/(1+theta^2)) E_w[Y | x] per row of X, the posterior
+    weights by a direct softmax of -|x - theta y|^2 / (2 (1 - theta^2))."""
+    d2 = np.sum((X[:, None, :] - theta * points[None]) ** 2, axis=2)
+    w = np.exp(-(d2 - d2.min(axis=1, keepdims=True))
+               / (2.0 * (1.0 - theta * theta)))
+    w /= w.sum(axis=1, keepdims=True)
+    return 2.0 * theta / (1.0 + theta * theta) * (w @ points)
+
+
+def damped_fixed_points(points, theta, seeds):
+    """The damped iteration x <- (x + g(x)) / 2 from every seed, until the
+    step norm drops below 1e-10.  Returns the converged points,
+    deduplicated at distance 1e-6 in seed order, first wins, and the
+    indices of the seeds still moving after 10000 steps."""
+    X = np.array(seeds, dtype=np.float64)
+    active = np.arange(len(X))
+    for _ in range(10000):
+        if not active.size:
+            break
+        step = 0.5 * (self_consistency_map(points, theta, X[active])
+                      - X[active])
+        X[active] += step
+        active = active[~(np.linalg.norm(step, axis=1) < 1e-10)]
+    kept = []
+    for i in np.setdiff1d(np.arange(len(X)), active):
+        if not any(np.linalg.norm(X[i] - x) < 1e-6 for x in kept):
+            kept.append(X[i])
+    return kept, tuple(int(i) for i in active)
+
+
 def reference_csv(rows) -> bytes:
     """CSV bytes by the per-cell rule, one Python format call per cell: an
     integer as str writes it, any other number at 17 significant digits."""

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -182,11 +184,32 @@ def test_frechet_is_symmetric_and_rotation_invariant():
     assert rot == pytest.approx(ab, abs=1e-8)
 
 
-def test_frechet_flags_rank_deficiency():
+def test_frechet_of_rank_deficient_fits_needs_no_jitter():
     flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     rep = frechet_gaussian(flat, flat + np.array([0.0, 1.0]))
-    assert rep.jittered
-    assert rep.frechet == pytest.approx(1.0, abs=1e-6)
+    assert rep.frechet == pytest.approx(1.0, abs=1e-12)
+
+
+def _diagonal_cloud(mean, variances):
+    """All sign patterns of mean +- sqrt(variances): a point set whose
+    population fit is exactly N(mean, diag(variances))."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=len(mean))))
+    return np.asarray(mean) + signs * np.sqrt(variances)
+
+
+@pytest.mark.parametrize("m1, v1, m2, v2", [
+    ([0.0, 0.0], [0.7, 0.0], [0.5, -0.25], [1.9, 0.3]),
+    ([1.0, 0.0], [0.0, 0.4], [0.0, 0.0], [0.9, 0.0]),
+    ([0.0, 2.0, 0.0], [1.0, 0.0, 0.25], [0.0, 0.0, 0.0], [0.36, 0.0, 0.0]),
+    ([0.3, -0.1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
+], ids=["one_axis_flat", "crossed_lines", "d3_line", "point_masses"])
+def test_frechet_matches_the_closed_form_on_degenerate_fits(m1, v1, m2, v2):
+    # commuting covariances: |mu1 - mu2|^2 + sum (sqrt(a_i) - sqrt(b_i))^2
+    want = (np.sum(np.subtract(m1, m2) ** 2)
+            + np.sum((np.sqrt(v1) - np.sqrt(v2)) ** 2))
+    ref, gen = _diagonal_cloud(m1, v1), _diagonal_cloud(m2, v2)
+    assert abs(frechet_gaussian(ref, gen).frechet - want) <= 1e-12
+    assert abs(frechet_gaussian(gen, ref).frechet - want) <= 1e-12
 
 
 def test_frechet_validation():

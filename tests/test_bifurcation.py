@@ -3,17 +3,34 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from symbreak import (EmpiricalDataset, ExactScoreModel, VpSchedule,
-                      bifurcation, center_and_normalize, hypersphere)
+from symbreak import (EmpiricalDataset, ExactScoreModel, bifurcation,
+                      center_and_normalize, hypersphere)
 from symbreak.bifurcation import (bifurcation_diagram_1d, critical_theta_1d,
                                   critical_theta_cov, critical_theta_sphere,
                                   default_seed_points, drift_field,
                                   fixed_points_1d, fixed_points_general,
                                   GeneralFixedPoints, write_branches_csv)
 from symbreak.errors import DomainError, ShapeError
+from symbreak.exact_score import curvature
 from symbreak.rng import stream
 
 import oracles
+
+
+@pytest.fixture(scope="module")
+def sphere8_model(schedule):
+    """A certified sphere sample: 64 centered unit-norm points in D=8."""
+    return ExactScoreModel(
+        center_and_normalize(hypersphere(8, 1.0, 64, seed=5), r=1.0), schedule)
+
+
+@pytest.fixture(scope="module")
+def ring_model(schedule):
+    """12 equally spaced points on the unit circle."""
+    angles = 2 * np.pi * np.arange(12) / 12
+    ring = EmpiricalDataset(np.column_stack([np.cos(angles), np.sin(angles)]),
+                            radius=1.0, centered=True)
+    return ExactScoreModel(ring, schedule)
 
 
 def test_critical_theta_1d_matches_frozen_value():
@@ -71,10 +88,13 @@ def test_critical_theta_sphere_matches_the_sphere_formula():
     assert worst <= 1e-15
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.25, 1.0, 2.0, 100.0, 1e3, 11578.0, 9e4])
+@pytest.mark.parametrize("lam", [0.0, 0.25, 1.0, 2.0, 100.0, 1e3, 11578.0, 9e4,
+                                 1e154, 1e200, 1e300, 1.7e308])
 def test_critical_theta_cov_matches_mpmath(lam):
-    # large lam is where sqrt(1 + lam^2) - lam cancels
-    with mpmath.workdps(50):
+    # large lam is where sqrt(1 + lam^2) - lam cancels; from about 1.34e154
+    # up, lam^2 overflows, and from about 9e307 up, 2 lam does too.  The
+    # oracle cancels about 2 log10(lam) digits, 617 at 1.7e308
+    with mpmath.workdps(700):
         exact = mpmath.sqrt(mpmath.sqrt(1 + mpmath.mpf(lam) ** 2) - lam)
         assert abs(float(critical_theta_cov(lam) / exact) - 1.0) <= 5e-16
 
@@ -280,11 +300,9 @@ def _per_seed_runs(model, theta, seeds):
     return found, tuple(failed)
 
 
-def test_general_solver_batch_matches_per_seed_runs(sphere_model):
-    wide = ExactScoreModel(
-        center_and_normalize(hypersphere(8, 1.0, 64, seed=5), r=1.0),
-        sphere_model.schedule)
-    for model in (sphere_model, wide):
+def test_general_solver_batch_matches_per_seed_runs(sphere_model,
+                                                   sphere8_model):
+    for model in (sphere_model, sphere8_model):
         for theta in (0.5, 0.8, 0.95):
             seeds = default_seed_points(model.dataset, theta)
             batch = fixed_points_general(model, theta, seeds)
@@ -296,14 +314,12 @@ def test_general_solver_batch_matches_per_seed_runs(sphere_model):
                 assert np.max(np.abs(p.x - q.x)) <= 1e-12
 
 
-def test_general_solver_dedups_in_seed_order_first_wins(monkeypatch):
+def test_general_solver_dedups_in_seed_order_first_wins(monkeypatch,
+                                                        ring_model):
     # a ring of 12 points: every scaled data point and random direction
     # lands on one of a few wells, so near duplicates are common
-    angles = 2 * np.pi * np.arange(12) / 12
-    ring = EmpiricalDataset(np.column_stack([np.cos(angles), np.sin(angles)]),
-                            radius=1.0, centered=True)
-    model = ExactScoreModel(ring, VpSchedule())
-    seeds = bifurcation.default_seed_points(ring, 0.95)
+    model = ring_model
+    seeds = bifurcation.default_seed_points(model.dataset, 0.95)
     seeds += [x + 1e-3 for x in seeds[::-1]]
     got = bifurcation.fixed_points_general(model, 0.95, seeds)
     # reference: every converged seed in order, then the first-wins loop
@@ -319,6 +335,31 @@ def test_general_solver_dedups_in_seed_order_first_wins(monkeypatch):
     assert [p.stability for p in got.points] == [p.stability for p in kept]
     assert all(np.array_equal(p.x, q.x) for p, q in zip(got.points, kept,
                                                          strict=True))
+
+
+@pytest.mark.parametrize("model_name, theta", [
+    ("two_point_model", 0.5), ("two_point_model", 0.7),
+    ("two_point_model", 0.8), ("two_point_model", 0.95),
+    ("gmm_model", 0.6), ("gmm_model", 0.9), ("gmm_model", 0.97),
+    ("sphere8_model", 0.7), ("sphere8_model", 0.9), ("sphere8_model", 0.97),
+    ("ring_model", 0.8), ("ring_model", 0.95)])
+def test_general_solver_matches_the_damped_iteration(request, model_name,
+                                                     theta):
+    # the undamped map has the damped one's fixed points and attracting set
+    model = request.getfixturevalue(model_name)
+    Y = model.dataset.points
+    seeds = default_seed_points(model.dataset, theta)
+    got = fixed_points_general(model, theta, seeds)
+    want, failed = oracles.damped_fixed_points(Y, theta, seeds)
+    assert got.failed_seeds == failed
+    assert len(got.points) == len(want)
+    for p, x in zip(got.points, want):
+        assert np.max(np.abs(p.x - x)) <= 1e-8
+        assert p.stability == bifurcation._label_stability(
+            np.linalg.eigvalsh(curvature(x[None, :], Y, theta)))
+        # the step that stopped the iteration is the residual g(x) - x
+        g = oracles.self_consistency_map(Y, theta, p.x[None, :])[0]
+        assert np.linalg.norm(g - p.x) < bifurcation._TOL
 
 
 def test_diagram_branch_structure():

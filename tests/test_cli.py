@@ -379,6 +379,24 @@ def test_unknown_config_section_exits_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dataset, key", [
+    ({"kind": "two_point_1d", "d": 8, "n": 100}, "d"),
+    ({"kind": "hypersphere", "d": 2, "n": 4, "centers": [[0.0, 0.0]],
+      "std": 0.1}, "centers"),
+    ({"kind": "gaussian_mixture", "centers": [[0.0]], "std": 0.1,
+      "n_per_mode": 3, "n": 4}, "n"),
+    ({"kind": "csv", "path": "pts.csv", "r": 2.0}, "r"),
+], ids=["two_point_1d", "hypersphere", "gaussian_mixture", "csv"])
+def test_dataset_key_of_another_kind_exits_2_before_writing(tmp_path, capsys,
+                                                            dataset, key):
+    # the key check runs before the csv kind opens its (missing) file
+    code, out = run_cli(tmp_path, ["dataset", "generate"], {"dataset": dataset})
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: dataset: unknown key {key!r} for kind {dataset['kind']!r}; ")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind", ["two_point_1d", "hypersphere",
                                   "gaussian_mixture", "csv"])
 def test_seed_flag_passes_the_key_check_for_every_dataset_kind(tmp_path, kind):

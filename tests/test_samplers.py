@@ -385,6 +385,41 @@ def test_given_normals_reproduce_the_run(gmm_model, kind):
             run_sampler(gmm_model, cfg, 5, normals=bad)
 
 
+@pytest.mark.parametrize("kind", ["stochastic_sde", "ancestral_ddpm", "ddim"])
+@pytest.mark.parametrize("init", ["standard_normal", "gls"])
+@pytest.mark.parametrize("model_name", ["two_point_model", "gmm_model"])
+def test_every_step_follows_the_textbook_rule(request, kind, init, model_name):
+    model = request.getfixturevalue(model_name)
+    sched, d, batch = model.schedule, model.dataset.dim, 7
+    cfg = SamplerConfig(kind=kind, n_steps=3, s_start=0.8, init=init, seed=3)
+    z = chain_normals(5, batch, (1 + (3 if kind != "ddim" else 0)) * d)
+    run = run_sampler(model, cfg, batch, keep_trajectories=True, normals=z)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    start = z[:, :d]
+    if init == "gls":
+        g = gls_init(model, cfg.s_start)
+        start = g.mean + start @ g.cholesky.T
+    assert close(run.trajectories[:, 0], start)
+    for i, (s, s_next) in enumerate(zip(run.s_grid[:-1], run.s_grid[1:])):
+        x, noise = run.trajectories[:, i], z[:, d * (i + 1):d * (i + 2)]
+        abar, abar_next = sched.theta_at(s) ** 2, sched.theta_at(s_next) ** 2
+        if kind == "stochastic_sde":
+            want = oracles.euler_maruyama_step(
+                x, model.score_batch(x, s), sched.beta_at(s), s - s_next, noise)
+        elif kind == "ancestral_ddpm":
+            want = oracles.ddpm_posterior_step(
+                x, model.posterior_mean_batch(x, s), abar, abar_next, noise)
+        else:
+            want = oracles.ddim_step(x, model.posterior_mean_batch(x, s), abar,
+                                     abar_next)
+        assert close(run.trajectories[:, i + 1], want), (i, s)
+    assert close(run.finals, model.posterior_mean_batch(
+        run.trajectories[:, -1], run.s_grid[-1]))
+
+
 def test_knee_flat_then_quadratic():
     s = np.linspace(0.1, 1.0, 10)
     join = 0.4
