@@ -160,7 +160,6 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
     """
     if not 0 < theta < 1:
         raise DomainError("fixed_points_general requires theta in (0, 1)")
-    Y = model.dataset.points
     if seeds is None:
         seeds = default_seed_points(model.dataset, theta)
     X = np.empty((len(seeds), model.dataset.dim))
@@ -176,7 +175,7 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
         if not active.size:
             break
         Xa = X[active]
-        X[active] = g = gain * posterior(Xa, Y, theta).mean
+        X[active] = g = gain * posterior(Xa, model.kernel, theta).mean
         # the step is the residual g(x) - x; a NaN one never counts as converged
         active = active[~(np.linalg.norm(g - Xa, axis=1) < _TOL)]
     converged = np.setdiff1d(np.arange(len(seeds)), active)
@@ -188,7 +187,7 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
             n += 1
     pts = tuple(
         FixedPoint(x, _label_stability(
-            np.linalg.eigvalsh(curvature(x[None, :], Y, theta))))
+            np.linalg.eigvalsh(curvature(x[None, :], model.kernel, theta))))
         for x in found[:n])
     return GeneralFixedPoints(pts, len(seeds), tuple(int(i) for i in active))
 

@@ -24,7 +24,7 @@ is the generative drift: -grad u = beta * score + beta * x / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,26 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class KernelConstants:
+    """The theta-free operands of a dataset's posterior kernel, built once
+    per model instead of once per call: the points, their transpose as a
+    contiguous (D, N) array, |y_j|^2 and the ones vector of the row sums."""
+
+    points: np.ndarray  # (N, D)
+    points_t: np.ndarray  # (D, N), C-contiguous
+    sq_norms: np.ndarray  # (N,)
+    ones: np.ndarray  # (N,)
+
+    @classmethod
+    def of(cls, points: np.ndarray) -> "KernelConstants":
+        consts = (np.ascontiguousarray(points.T), _sq_norms(points),
+                  np.ones(points.shape[0]))
+        for a in consts:
+            a.setflags(write=False)
+        return cls(points, *consts)
+
+
+@dataclass(frozen=True)
 class Posterior:
     """One pass of the posterior kernel over a (B, D) batch.
 
@@ -59,9 +79,10 @@ class Posterior:
     weights: np.ndarray | None  # (B, N) posterior weights, if asked for
 
 
-def posterior(X: np.ndarray, points: np.ndarray, theta: float, *,
+def posterior(X: np.ndarray, kernel: KernelConstants, theta: float, *,
               mean: bool = True, weights: bool = False) -> Posterior:
-    """The posterior kernel of a (B, D) batch at signal level theta.
+    """The posterior kernel of a (B, D) batch at signal level theta, over
+    the dataset whose constants `kernel` holds.
 
     Softmax is shift-invariant per row, so the logits drop the row constant
     -|x|^2 / (2 var): one GEMM [x, 1] @ [(theta/var) Y^T ; b] whose last row
@@ -75,14 +96,14 @@ def posterior(X: np.ndarray, points: np.ndarray, theta: float, *,
     contiguous points, and row-major otherwise: wide rows reduce fast, and
     point-major (62, 2048) blocks made the N = 2048 kernel 5-20% slower.
     """
+    points = kernel.points
     B, (N, D) = X.shape[0], points.shape
     var = 1.0 - theta * theta
     k = max(1, min(B, _BLOCK_ENTRIES // (N + D + 2)))
     order = "F" if N <= k else "C"  # point-major: max down contiguous rows
     A = np.empty((D + 1, N))  # [(theta/var) Y^T ; bias]
-    np.multiply(points.T, theta / var, out=A[:D])
-    A[D] = (-0.5 * theta * theta / var) * _sq_norms(points)
-    ones = np.ones(N)
+    np.multiply(kernel.points_t, theta / var, out=A[:D])
+    np.multiply(kernel.sq_norms, -0.5 * theta * theta / var, out=A[D])
     log_norm = np.empty(B)
     M = None
     W = np.empty((B, N)) if weights else None
@@ -99,7 +120,7 @@ def posterior(X: np.ndarray, points: np.ndarray, theta: float, *,
         e -= top[:, None]
         np.maximum(e, _EXP_FLOOR, out=e)
         np.exp(e, out=e)
-        z = e @ ones  # row sums by gemv, after the broadcasts' ufunc buffers
+        z = e @ kernel.ones  # row sums by gemv, after the broadcasts' ufunc buffers
         if mean:
             if M is None:  # after the broadcasts, each of which holds numpy's
                 # 64 KB ufunc buffer: a one-block call then peaks lower
@@ -114,19 +135,20 @@ def posterior(X: np.ndarray, points: np.ndarray, theta: float, *,
     return Posterior(log_norm, M, W)
 
 
-def curvature(x: np.ndarray, points: np.ndarray, theta: float) -> np.ndarray:
+def curvature(x: np.ndarray, kernel: KernelConstants,
+              theta: float) -> np.ndarray:
     """Hessian of the potential at one (1, D) state, up to the factor beta > 0.
 
     (1/var - 1/2) I - Cov_w[theta Y] / var^2 by the posterior-covariance
     identity, with var = 1 - theta^2.
     """
     var = 1.0 - theta * theta
-    post = posterior(x, points, theta, weights=True)
+    post = posterior(x, kernel, theta, weights=True)
     w = post.weights[0]
-    Y = theta * points
+    Y = theta * kernel.points
     mean = theta * post.mean[0]
     cov = (Y * w[:, None]).T @ Y - np.outer(mean, mean)
-    return (1.0 / var - 0.5) * np.eye(points.shape[1]) - cov / (var * var)
+    return (1.0 / var - 0.5) * np.eye(Y.shape[1]) - cov / (var * var)
 
 
 @dataclass(frozen=True)
@@ -142,6 +164,10 @@ class ScoreEval:
 class ExactScoreModel:
     dataset: EmpiricalDataset
     schedule: VpSchedule
+    kernel: KernelConstants = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kernel", KernelConstants.of(self.dataset.points))
 
     def _s_forward(self, s: float) -> tuple[float, float]:
         """theta and kernel variance at forward time s; s = 0 is degenerate."""
@@ -179,7 +205,7 @@ class ExactScoreModel:
         """(X, post, theta, var): x as a checked batch, its posterior at s."""
         X = self._as_batch(x)
         theta, var = self._s_forward(s)
-        return X, posterior(X, self.dataset.points, theta, **want), theta, var
+        return X, posterior(X, self.kernel, theta, **want), theta, var
 
     # -- density and score -------------------------------------------------
 
@@ -283,4 +309,4 @@ class ExactScoreModel:
         s = self._s_of_t(t)
         X = self._as_point(x)
         theta, _ = self._s_forward(s)
-        return self.schedule.beta_at(s) * curvature(X, self.dataset.points, theta)
+        return self.schedule.beta_at(s) * curvature(X, self.kernel, theta)

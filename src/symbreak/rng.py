@@ -6,11 +6,13 @@ Streams are keyed by (seed, stream_index), so independent consumers (one
 sampler chain, one dataset draw) get reproducible, non-overlapping streams
 on any platform and under any thread count.
 
-`stream` returns one keyed Generator.  `chain_normals` draws the leading
-standard normals of many consecutive streams at once, as the samplers do
-for their chains: row i is still exactly stream (seed, i), but one Philox
-is re-keyed per row instead of building a new Generator per row.  A sampler
-run calls it once; a late-start sweep calls it once per repeat r, with seed
+`stream` returns one keyed Generator.  `ChainStreams` draws many
+consecutive streams (seed, 0), (seed, 1), ... a block of columns at a time,
+as the samplers do for their chains: row i of each block continues stream
+(seed, i) where its previous block stopped.  `chain_normals` is one such
+block, drawn by re-keying one Philox per row instead of building a
+Generator per row.  A sampler run draws its chains in blocks of bounded
+size; a late-start sweep calls `chain_normals` once per repeat r, with seed
 seed + r, and every grid point of that repeat reuses the draw.
 
 The seed rule lives here alone: a seed or stream index is an integer, not a
@@ -46,21 +48,58 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, index)))
 
 
+class ChainStreams:
+    """Streams (seed, 0), ..., (seed, chains - 1), drawn in column blocks.
+
+    Row i of every `draw` continues stream (seed, i): the blocks of one
+    ChainStreams, side by side, equal one `chain_normals` draw of their
+    total width, bit for bit.  A lone draw (`last` at the first) re-keys one
+    Philox per row.  Otherwise each row draws from its own `stream`, built
+    at the first draw and dropped at the last: 20 us per row once, where
+    saving and restoring one Philox's state costs 6 us per row per draw.
+    """
+
+    def __init__(self, seed: int, chains: int):
+        self._seed = check_seed(seed)
+        self._chains = chains
+        self._rows = None  # each row's Generator, from the first draw to the last
+        self._closed = False
+
+    def draw(self, width: int, *, last: bool = False) -> np.ndarray:
+        """(chains, width) standard normals, row i the next `width` values
+        of stream (seed, i).  A `last` draw closes the streams."""
+        if self._closed:
+            raise DomainError("ChainStreams drawn after its last draw")
+        out = np.empty((self._chains, width))
+        if self._rows is None and last:
+            self._rekeyed(out)
+        else:
+            if self._rows is None:
+                self._rows = [stream(self._seed, i) for i in range(self._chains)]
+            for row, gen in zip(out, self._rows):
+                gen.standard_normal(out=row)
+        if last:
+            self._rows, self._closed = None, True
+        return out
+
+    def _rekeyed(self, out: np.ndarray) -> None:
+        key = [self._seed, 0]
+        bitgen = np.random.Philox(key=_key(self._seed, 0))
+        gen = np.random.Generator(bitgen)
+        # a fresh Philox(key=(seed, i)): counter 0, output buffer empty, as
+        # plain ints, which the setter reads faster than uint64 arrays; the
+        # setter copies the dict, so rewriting key[1] re-keys the next row
+        fresh = {"bit_generator": "Philox",
+                 "state": {"counter": (0, 0, 0, 0), "key": key},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+                 "uinteger": 0}
+        for i, row in enumerate(out):
+            key[1] = i
+            bitgen.state = fresh
+            gen.standard_normal(out=row)
+
+
 def chain_normals(seed: int, chains: int, per_chain: int) -> np.ndarray:
     """(chains, per_chain) array whose row i is the first `per_chain`
     values of `stream(seed, i).standard_normal(...)`, bit for bit."""
-    key = _key(seed, 0)
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
-    # the state of a fresh Philox(key=key): counter 0, output buffer empty;
-    # the setter copies it, so rewriting key[1] re-keys the next row
-    empty = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": empty, "key": key},
-             "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    out = np.empty((chains, per_chain))
-    for i in range(chains):
-        key[1] = i
-        bitgen.state = state
-        gen.standard_normal(out=out[i])
-    return out
+    return ChainStreams(seed, chains).draw(per_chain, last=True)

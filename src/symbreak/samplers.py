@@ -5,10 +5,12 @@ to 0, with the final node replaced by s_min (the s = 0 kernel is atomic),
 and finish with a posterior-mean jump E[Y0 | x] at s_min.  Chain i draws
 all of its randomness from the counter-based stream keyed (seed, i), so a
 batch is bit-reproducible regardless of execution order or thread count.
-The whole batch is drawn up front by `rng.chain_normals`, whose row i is
-still stream (seed, i): init first, then the step noise.  `late_start_sweep`
-draws repeat r's batch once, read-only, and every grid point of that repeat
-reuses it through `run_sampler(..., normals=...)`; row i is still stream
+A run draws its batch from `rng.ChainStreams`, whose row i is stream
+(seed, i): init first, then the step noise, in chunks whose size does not
+depend on n_steps (see _NOISE_BUDGET), so neither does the run's memory.
+`late_start_sweep` draws repeat r's whole batch once with
+`rng.chain_normals`, read-only, and every grid point of that repeat reuses
+it through `run_sampler(..., normals=...)`; row i is still stream
 (seed + r, i), so each grid point's finals equal a standalone run's.
 
 Initialization is either a standard normal or a moment-matched Gaussian
@@ -19,18 +21,26 @@ the exact first two moments of the noised marginal at s_start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import (DivergedError, DomainError, FactorizationError,
                      ShapeError)
 from .exact_score import ExactScoreModel, _sq_norms
-from .rng import chain_normals, check_seed, stream
+from .rng import ChainStreams, chain_normals, check_seed, stream
 
 _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
 _INITS = ("standard_normal", "gls")
 KNEE_MIN_POINTS = 5  # fewest grid points estimate_knee accepts
+# Most step-noise floats a run draws at once (2 MB of float64): a run with
+# more noise holds the init plus k steps of it at a time, k the larger of
+# _NOISE_BUDGET // (batch * d) and ceil(_STREAM_FLOATS / d).
+_NOISE_BUDGET = 2 ** 18
+# A chunked run keeps one Generator per chain, about 600 bytes each, and
+# pays a Python call per chain per chunk: a chunk narrower than that many
+# floats per chain would save little memory and cost much time.
+_STREAM_FLOATS = 80
 
 
 @dataclass(frozen=True)
@@ -122,39 +132,63 @@ def _noise_steps(config: SamplerConfig) -> int:
     return config.n_steps if config.kind != "ddim" else 0
 
 
-def _run_normals(model: ExactScoreModel, config: SamplerConfig, batch: int,
-                 normals: Optional[np.ndarray] = None) -> np.ndarray:
-    """The (batch, (1 + n_noise) * d) standard normals of a run: `normals`
-    once its shape is checked, else drawn from streams keyed (seed, chain)."""
+def _normals_shape(model: ExactScoreModel, config: SamplerConfig,
+                   batch: int) -> tuple[int, int]:
+    """(batch, (1 + n_noise) * d): the shape of a run's whole draw."""
     if batch < 1:
         raise DomainError("batch must be >= 1")
-    shape = (batch, (1 + _noise_steps(config)) * model.dataset.dim)
-    if normals is None:
-        return chain_normals(config.seed, *shape)
-    normals = np.asarray(normals, dtype=np.float64)
-    if normals.shape != shape:
-        raise ShapeError(f"normals have shape {normals.shape}, expected {shape}")
-    return normals
+    return batch, (1 + _noise_steps(config)) * model.dataset.dim
+
+
+def _step_noise(chunk: np.ndarray, streams: Optional[ChainStreams],
+                n_noise: int) -> Iterator[np.ndarray]:
+    """Each step's (batch, d) noise: the k steps of the (batch, k, d)
+    `chunk`, then, while steps remain, k more at a time from `streams`.
+    Each chunk is dropped before the next is drawn."""
+    batch, k, d = chunk.shape
+    done = 0
+    while True:
+        for j in range(chunk.shape[1]):
+            yield chunk[:, j]
+        done += chunk.shape[1]
+        if done == n_noise:
+            return
+        chunk = None
+        w = min(k, n_noise - done)
+        chunk = streams.draw(w * d, last=done + w == n_noise).reshape(batch, w, d)
 
 
 def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
-                 normals: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chain init states and step noise from streams keyed (seed, chain).
+                 normals: Optional[np.ndarray]
+                 ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Per-chain init states and each step's noise, from streams keyed
+    (seed, chain), or from `normals` once its shape is checked.
 
     Chain i's init is the first d normals of its stream and its step noise
     the next n_noise * d, exactly as one Generator per chain would draw them.
-    Neither is written to, so `normals` may be a read-only shared draw.
+    A run draws the init and k steps of noise, then k steps at a time as
+    they are used, k as at _NOISE_BUDGET; the streams resume where they
+    stopped, so the bytes do not depend on k.  Given `normals` are never
+    written to, so they may be a read-only shared draw.
     """
-    d = model.dataset.dim
-    z = _run_normals(model, config, batch, normals)
+    d, n_noise = model.dataset.dim, _noise_steps(config)
+    shape = _normals_shape(model, config, batch)
+    streams = None
+    if normals is None:
+        k = min(n_noise, max(_NOISE_BUDGET // (batch * d), -(-_STREAM_FLOATS // d)))
+        streams = ChainStreams(config.seed, batch)
+        z = streams.draw((1 + k) * d, last=k == n_noise)
+    else:
+        z, k = np.asarray(normals, dtype=np.float64), n_noise
+        if z.shape != shape:
+            raise ShapeError(f"normals have shape {z.shape}, expected {shape}")
     init = z[:, :d]
-    noise = z[:, d:].reshape(batch, _noise_steps(config), d)
     if config.init == "gls":
         ginit = gls_init(model, config.s_start)
         # stacked mat-vec, bit-equal per row to L @ z; z @ L.T is a GEMM
         # whose rounding may depend on the batch and break the prefix property
         init = ginit.mean + np.matmul(ginit.cholesky, init[:, :, None])[:, :, 0]
-    return init, noise
+    return init, _step_noise(z[:, d:].reshape(batch, k, d), streams, n_noise)
 
 
 def _check_finite(X: np.ndarray, step: int) -> None:
@@ -169,20 +203,22 @@ def _run(model: ExactScoreModel, config: SamplerConfig, batch: int,
          keep_trajectories: bool, normals: Optional[np.ndarray]) -> SamplerRun:
     grid = _build_grid(model, config)
     X, noise = _draw_chains(model, config, batch, normals)
-    sched = model.schedule
+    # bit-equal to one scalar call per node, without one validation per call
+    thetas, betas = model.schedule.theta_at(grid), model.schedule.beta_at(grid)
     traj = None
     if keep_trajectories:
         traj = np.empty((batch, config.n_steps + 1, model.dataset.dim))
         traj[:, 0] = X
     for i in range(config.n_steps):
         s, s_next = float(grid[i]), float(grid[i + 1])
+        # each step's noise is used inline, so no name holds its chunk
         if config.kind == "stochastic_sde":
-            beta = sched.beta_at(s)
+            beta = betas[i]
             dt = s - s_next
             X = (X + beta * (model.score_batch(X, s) + 0.5 * X) * dt
-                 + np.sqrt(beta * dt) * noise[:, i])
+                 + np.sqrt(beta * dt) * next(noise))
         else:
-            th, th_next = sched.theta_at(s), sched.theta_at(s_next)
+            th, th_next = thetas[i], thetas[i + 1]
             x0 = model.posterior_mean_batch(X, s)
             if config.kind == "ancestral_ddpm":
                 abar, abar_next = th * th, th_next * th_next
@@ -191,7 +227,7 @@ def _run(model: ExactScoreModel, config: SamplerConfig, batch: int,
                 mean = (np.sqrt(abar_next) * beta_step * x0
                         + np.sqrt(alpha_step) * (1.0 - abar_next) * X) / (1.0 - abar)
                 std = np.sqrt(beta_step * (1.0 - abar_next) / (1.0 - abar))
-                X = mean + std * noise[:, i]
+                X = mean + std * next(noise)
             else:  # ddim
                 eps = (X - th * x0) / np.sqrt(1.0 - th * th)
                 X = th_next * x0 + np.sqrt(1.0 - th_next * th_next) * eps
@@ -266,7 +302,9 @@ def late_start_sweep(model: ExactScoreModel, kind: str, n_steps: int,
 
     Repeat r uses seed+r for every grid point (common random numbers across
     the grid, independent across repeats).  Its chain normals are drawn once,
-    read-only, and every grid point of the repeat reuses them; row i is
+    whole and read-only, and every grid point of the repeat reuses them, so
+    the sweep holds (batch, (1 + n_noise) * d) floats however long the run
+    is, where a lone run holds a bounded chunk; row i is
     still stream (seed+r, i), so each value equals
     `metric(run_sampler(...).finals)` of that grid point's own run.  Every
     grid point's config and time grid, and the batch, are checked before
@@ -288,7 +326,7 @@ def late_start_sweep(model: ExactScoreModel, kind: str, n_steps: int,
         _build_grid(model, config(i, 0))
     values = np.empty((repeats, grid.size))
     for r in range(repeats):
-        z = _run_normals(model, config(0, r), batch)
+        z = chain_normals(seed + r, *_normals_shape(model, config(0, r), batch))
         z.flags.writeable = False
         for i in range(grid.size):
             run = run_sampler(model, config(i, r), batch, normals=z)

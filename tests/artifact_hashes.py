@@ -14,8 +14,9 @@ covers
 - every `ExactScoreModel` batch method, `score` and `hessian` on the
   two-point, a 3-mode mixture and an N=2048, D=64 sphere sample, at
   batches 1, 7 and 513 and four forward times;
-- `run_sampler` for each kind and init, `fixed_points_general`,
-  `frechet_gaussian` and `critical_theta_cov`.
+- `run_sampler` for each kind and init, and once at the benchmark's
+  `wide_sphere` shape, whose step noise is drawn in chunks;
+  `fixed_points_general`, `frechet_gaussian` and `critical_theta_cov`.
 
 Manifests are skipped: they hold wall times.  This is a script, not a
 collected test.
@@ -178,6 +179,13 @@ def api_hashes():
             run = run_sampler(gmm, cfg, 33, keep_trajectories=True)
             yield (f"api/run_sampler/{kind}/{init}",
                    digest(run.s_grid, run.finals, run.trajectories))
+    # 512 chains in D=64: 30 steps of noise are more than one chunk
+    cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=30, s_start=0.3,
+                        init="gls", seed=11)
+    run = run_sampler(ExactScoreModel(data["sphere64"], schedule), cfg, 512,
+                      keep_trajectories=True)
+    yield ("api/run_sampler/wide_sphere",
+           digest(run.s_grid, run.finals, run.trajectories))
 
     fixed = {
         "two_point": (data["two_point"], (0.5, 0.8, 0.95)),

@@ -356,7 +356,7 @@ def test_general_solver_matches_the_damped_iteration(request, model_name,
     for p, x in zip(got.points, want):
         assert np.max(np.abs(p.x - x)) <= 1e-8
         assert p.stability == bifurcation._label_stability(
-            np.linalg.eigvalsh(curvature(x[None, :], Y, theta)))
+            np.linalg.eigvalsh(curvature(x[None, :], model.kernel, theta)))
         # the step that stopped the iteration is the residual g(x) - x
         g = oracles.self_consistency_map(Y, theta, p.x[None, :])[0]
         assert np.linalg.norm(g - p.x) < bifurcation._TOL

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbreak.errors import DomainError
-from symbreak.rng import chain_normals, stream
+from symbreak.rng import ChainStreams, chain_normals, stream
 
 
 def test_same_key_reproduces_bits():
@@ -92,3 +94,26 @@ def test_keys_must_be_integers(bad):
 def test_chain_normals_rejects_negative_seed():
     with pytest.raises(ValueError):
         chain_normals(-1, 3, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 2 ** 63 + 11, 2 ** 64 - 1]), st.integers(1, 50),
+       st.lists(st.integers(0, 23), min_size=1, max_size=4))
+def test_chain_streams_blocks_equal_one_draw(seed, chains, widths):
+    # each row resumes its stream where its previous block stopped, also
+    # mid-way through Philox's four-word output buffer
+    streams = ChainStreams(seed, chains)
+    blocks = [streams.draw(w, last=j == len(widths) - 1)
+              for j, w in enumerate(widths)]
+    assert all(b.shape == (chains, w) for b, w in zip(blocks, widths))
+    assert np.array_equal(np.hstack(blocks), chain_normals(seed, chains, sum(widths)))
+
+
+def test_chain_streams_close_after_the_last_draw():
+    streams = ChainStreams(3, 4)
+    streams.draw(5)
+    streams.draw(2, last=True)
+    with pytest.raises(DomainError):
+        streams.draw(1)
+    with pytest.raises(DomainError):
+        ChainStreams(2 ** 64, 2)

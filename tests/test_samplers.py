@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -383,6 +385,74 @@ def test_given_normals_reproduce_the_run(gmm_model, kind):
     for bad in (z[:4], z[:, :-1], z[:, :, None]):
         with pytest.raises(ShapeError):
             run_sampler(gmm_model, cfg, 5, normals=bad)
+
+
+@pytest.fixture(scope="module")
+def sphere16_model(schedule):
+    return ExactScoreModel(hypersphere(16, 1.0, 96, seed=4), schedule)
+
+
+@pytest.mark.parametrize("model_name",
+                         ["two_point_model", "gmm_model", "sphere16_model"])
+def test_noise_chunks_do_not_change_the_run(request, monkeypatch, model_name):
+    # each chunk resumes its chains' streams, so the bytes of a run do not
+    # depend on the noise budget, down to one step per chunk (chunks of
+    # these runs are too narrow unless a chunk may hold one float per chain)
+    model = request.getfixturevalue(model_name)
+    d, batch, n_steps = model.dataset.dim, 5, 7
+    budgets = (1, batch * d, 3 * batch * d, samplers._NOISE_BUDGET)
+    monkeypatch.setattr(samplers, "_STREAM_FLOATS", 1)
+    for kind in ("stochastic_sde", "ancestral_ddpm", "ddim"):
+        for init in ("standard_normal", "gls"):
+            cfg = SamplerConfig(kind=kind, n_steps=n_steps, s_start=0.6,
+                                init=init, seed=12)
+            width = (1 + (n_steps if kind != "ddim" else 0)) * d
+            want = run_sampler(model, cfg, batch, keep_trajectories=True,
+                               normals=chain_normals(12, batch, width))
+            for budget in budgets:
+                monkeypatch.setattr(samplers, "_NOISE_BUDGET", budget)
+                got = run_sampler(model, cfg, batch, keep_trajectories=True)
+                assert np.array_equal(got.finals, want.finals), (kind, init, budget)
+                assert np.array_equal(got.trajectories, want.trajectories), (
+                    kind, init, budget)
+
+
+@pytest.mark.parametrize("n_steps, widths", [(20, [42]), (100, [82, 80, 40])])
+def test_chunks_are_at_least_a_stream_wide(gmm_model, monkeypatch, n_steps,
+                                           widths):
+    # a budget of one step per chunk for 5 chains in D=2 still gives each
+    # chunk 40 steps, the 80 floats per chain of a chain's Generator
+    drawn = []
+
+    class Counting(samplers.ChainStreams):
+        def draw(self, width, **kw):
+            drawn.append(width)
+            return super().draw(width, **kw)
+
+    monkeypatch.setattr(samplers, "ChainStreams", Counting)
+    monkeypatch.setattr(samplers, "_NOISE_BUDGET", 10)
+    cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=n_steps, s_start=0.6,
+                        seed=3)
+    run_sampler(gmm_model, cfg, 5)
+    assert drawn == widths
+
+
+def test_sampler_memory_does_not_grow_with_n_steps(schedule):
+    # 100 steps of noise for 2000 chains in D=8 are 12.8 MB and 1000 steps
+    # 128 MB; drawn in chunks, the run's peak holds one chunk either way
+    model = ExactScoreModel(hypersphere(8, 1.0, 256, seed=4), schedule)
+    peaks = {}
+    for n_steps in (100, 1000):
+        cfg = SamplerConfig(kind="stochastic_sde", n_steps=n_steps,
+                            s_start=1.0, seed=6)
+        gc.collect()  # untraced free-list objects would move the peak
+        tracemalloc.start()
+        try:
+            run_sampler(model, cfg, 2000)
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] - peaks[100] < 0.5e6, peaks
 
 
 @pytest.mark.parametrize("kind", ["stochastic_sde", "ancestral_ddpm", "ddim"])

@@ -11,6 +11,17 @@ from symbreak.errors import DomainError
 import oracles
 
 
+def test_a_grid_at_once_equals_its_scalar_calls(schedule):
+    # a sampler run evaluates its whole time grid in one call per function
+    for s_start in np.linspace(0.04, 1.0, 13):
+        for n in (1, 2, 3, 7, 30, 100, 300):
+            grid = schedule.discrete_grid(n, float(s_start))
+            grid[-1] = 1e-4
+            for fn in (schedule.theta_at, schedule.beta_at):
+                assert fn(grid).tolist() == [fn(float(s)) for s in grid], (
+                    fn.__name__, s_start, n)
+
+
 def test_beta_is_the_linear_ramp(schedule):
     assert schedule.beta_at(0.0) == pytest.approx(0.1, abs=0)
     assert schedule.beta_at(1.0) == pytest.approx(20.0, abs=0)
