@@ -9,9 +9,9 @@ so the score, the generative potential, and all its derivatives are
 available in closed form.  Posterior weights over data points are softmax
 of -|x - theta*y_j|^2 / (2*(1-theta^2)); `posterior` evaluates them, their
 mean and their max-subtracted log-sum-exp in one pass, so saturated regimes
-(theta near 1) stay finite.  Its logits are one GEMM with the per-point bias
-as an extra column, in row blocks that are point-major when they hold at
-least N rows, and its shifted logits are floored at -700 before exp.
+(theta near 1) stay finite.  Its logits are one GEMM of the scaled batch and
+the theta-free [Y^T ; -|y|^2/2], in row blocks, point-major from N rows up;
+shifted logits are floored at -700 before exp.
 
 The potential u(x, t) at generative time t (forward time s = T - t) is
 
@@ -34,7 +34,7 @@ from .schedule import VpSchedule
 
 
 # Most scratch entries one call holds (1 MB of float64): rows go in blocks of
-# k = max(1, _BLOCK_ENTRIES // (N + D + 2)): a (k, N) block, [x, 1] and k sums.
+# k = max(1, _BLOCK_ENTRIES // (N + D + 2)): a (k, N) block, k rows of x, k sums.
 _BLOCK_ENTRIES = 2 ** 17
 # numpy's vector exp leaves its fast path below about -708; e^-700 ~ 1e-304.
 _EXP_FLOOR = -700.0
@@ -48,18 +48,19 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class KernelConstants:
     """The theta-free operands of a dataset's posterior kernel, built once
-    per model instead of once per call: the points, their transpose as a
-    contiguous (D, N) array, |y_j|^2 and the ones vector of the row sums."""
+    per model instead of once per call: the points, the (D + 1, N) GEMM
+    operand [Y^T ; -|y|^2 / 2] and the ones vector of the row sums."""
 
     points: np.ndarray  # (N, D)
-    points_t: np.ndarray  # (D, N), C-contiguous
-    sq_norms: np.ndarray  # (N,)
+    operand: np.ndarray  # (D + 1, N), C-contiguous
     ones: np.ndarray  # (N,)
 
     @classmethod
     def of(cls, points: np.ndarray) -> "KernelConstants":
-        consts = (np.ascontiguousarray(points.T), _sq_norms(points),
-                  np.ones(points.shape[0]))
+        operand = np.empty((points.shape[1] + 1, points.shape[0]))
+        operand[:-1] = points.T
+        np.multiply(_sq_norms(points), -0.5, out=operand[-1])
+        consts = (operand, np.ones(points.shape[0]))
         for a in consts:
             a.setflags(write=False)
         return cls(points, *consts)
@@ -85,25 +86,23 @@ def posterior(X: np.ndarray, kernel: KernelConstants, theta: float, *,
     the dataset whose constants `kernel` holds.
 
     Softmax is shift-invariant per row, so the logits drop the row constant
-    -|x|^2 / (2 var): one GEMM [x, 1] @ [(theta/var) Y^T ; b] whose last row
-    adds the per-point bias b.  Each row is shifted by its max, floored at
-    -700 (so exp stays on its fast path; a weight below e^-700 of the row's
-    top comes back as e^-700 / z, not 0 or a subnormal), exponentiated and
-    summed by a gemv against ones; the mean divides the (B, D) product, and
-    the weights each block, by the row sums.  Rows go in blocks through one
-    reused buffer, for every output.  A block is point-major (column-major
-    memory) when it holds at least N rows, so the row max runs down
-    contiguous points, and row-major otherwise: wide rows reduce fast, and
-    point-major (62, 2048) blocks made the N = 2048 kernel 5-20% slower.
+    -|x|^2 / (2 var): one GEMM [(theta/var) x, theta^2/var] @ [Y^T ; -|y|^2/2]
+    adds the per-point bias with theta all on the batch side, so the operand
+    is the model's.  Each row is shifted by its max, floored at -700 (so exp
+    stays on its fast path; a weight below e^-700 of the row's top comes back
+    as e^-700 / z, not 0 or a subnormal), exponentiated and summed by a gemv
+    against ones; the mean divides the (B, D) product, and the weights each
+    block, by the row sums.  Rows go in blocks through one reused buffer, for
+    every output.  A block is point-major (column-major memory) when it holds
+    at least N rows, so the row max runs down contiguous points, and row-major
+    otherwise: wide rows reduce fast, and point-major (62, 2048) blocks made
+    the N = 2048 kernel 5-20% slower.
     """
     points = kernel.points
     B, (N, D) = X.shape[0], points.shape
     var = 1.0 - theta * theta
     k = max(1, min(B, _BLOCK_ENTRIES // (N + D + 2)))
     order = "F" if N <= k else "C"  # point-major: max down contiguous rows
-    A = np.empty((D + 1, N))  # [(theta/var) Y^T ; bias]
-    np.multiply(kernel.points_t, theta / var, out=A[:D])
-    np.multiply(kernel.sq_norms, -0.5 * theta * theta / var, out=A[D])
     log_norm = np.empty(B)
     M = None
     W = np.empty((B, N)) if weights else None
@@ -111,10 +110,13 @@ def posterior(X: np.ndarray, kernel: KernelConstants, theta: float, *,
     for lo in range(0, B, k):
         m = min(k, B - lo)  # a contiguous block, also when the last is short
         e = buf[:m * N].reshape(m, N, order=order)
-        xa = np.empty((m, D + 1))  # [x, 1]: a few us less than column_stack
+        # [x, theta] * (theta/var), scaled whole: a ufunc that writes a
+        # strided column slice holds a buffer the size of the slice
+        xa = np.empty((m, D + 1))
         xa[:, :D] = X[lo:lo + m]
-        xa[:, D] = 1.0
-        np.matmul(xa, A, out=e)
+        xa[:, D] = theta
+        xa *= theta / var
+        np.matmul(xa, kernel.operand, out=e)
         del xa  # a temporary's lifetime: held past here, it adds to the peak
         top = np.max(e, axis=1, out=log_norm[lo:lo + m])  # row max, for now
         e -= top[:, None]
@@ -140,15 +142,13 @@ def curvature(x: np.ndarray, kernel: KernelConstants,
     """Hessian of the potential at one (1, D) state, up to the factor beta > 0.
 
     (1/var - 1/2) I - Cov_w[theta Y] / var^2 by the posterior-covariance
-    identity, with var = 1 - theta^2.
+    identity, with var = 1 - theta^2; the points' one scaled copy is P^T * w.
     """
     var = 1.0 - theta * theta
     post = posterior(x, kernel, theta, weights=True)
-    w = post.weights[0]
-    Y = theta * kernel.points
-    mean = theta * post.mean[0]
-    cov = (Y * w[:, None]).T @ Y - np.outer(mean, mean)
-    return (1.0 / var - 0.5) * np.eye(Y.shape[1]) - cov / (var * var)
+    P, mean = kernel.points, post.mean[0]
+    cov = theta * theta * ((P.T * post.weights[0]) @ P - np.outer(mean, mean))
+    return (1.0 / var - 0.5) * np.eye(P.shape[1]) - cov / (var * var)
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,16 @@ import numpy as np
 
 from .errors import (DivergedError, DomainError, FactorizationError,
                      ShapeError)
-from .exact_score import ExactScoreModel, _sq_norms
+from .exact_score import _BLOCK_ENTRIES, ExactScoreModel, _sq_norms
 from .rng import ChainStreams, chain_normals, check_seed, stream
 
 _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
 _INITS = ("standard_normal", "gls")
 KNEE_MIN_POINTS = 5  # fewest grid points estimate_knee accepts
-# Most step-noise floats a run draws at once (2 MB of float64): a run with
-# more noise holds the init plus k steps of it at a time, k the larger of
+# Most step-noise floats a run draws at once, the kernel's 1 MB budget: a run
+# with more noise holds the init plus k steps of it at a time, k the larger of
 # _NOISE_BUDGET // (batch * d) and ceil(_STREAM_FLOATS / d).
-_NOISE_BUDGET = 2 ** 18
+_NOISE_BUDGET = _BLOCK_ENTRIES
 # A chunked run keeps one Generator per chain, about 600 bytes each, and
 # pays a Python call per chain per chunk: a chunk narrower than that many
 # floats per chain would save little memory and cost much time.

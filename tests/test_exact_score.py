@@ -505,3 +505,22 @@ def test_weights_scratch_stays_bounded(schedule):
     peak = _peak_bytes(model.posterior_weights_batch, X, 0.4)
     scratch = peak - B * N * 8
     assert scratch <= (D + 1) * N * 8 + _BLOCK_ENTRIES * 8 + 512 * 1024, scratch
+
+
+def test_one_row_call_holds_no_operand(schedule):
+    # the (D + 1, N) GEMM operand is the model's, built once: a one-row call
+    # holds a one-row block, not a 1 MB operand of its own
+    N, D = 2048, 64
+    model = ExactScoreModel(hypersphere(D, 1.0, N, seed=4), schedule)
+    x = stream(24).standard_normal((1, D))
+    peak = _peak_bytes(model.posterior_mean_batch, x, 0.4)
+    assert peak < 64 * 1024, peak
+
+
+def test_hessian_holds_one_copy_of_the_points(schedule):
+    # Cov_w[Y] from the points themselves, scaled by the weights once
+    N, D = 2048, 64
+    model = ExactScoreModel(hypersphere(D, 1.0, N, seed=4), schedule)
+    x = stream(24).standard_normal(D)
+    peak = _peak_bytes(model.hessian, x, schedule.horizon - 0.4)
+    assert peak < 1.5 * N * D * 8, peak

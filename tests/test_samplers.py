@@ -455,6 +455,23 @@ def test_sampler_memory_does_not_grow_with_n_steps(schedule):
     assert peaks[1000] - peaks[100] < 0.5e6, peaks
 
 
+def test_wide_sphere_run_memory_is_bounded(schedule):
+    # 512 chains on the N = 2048, D = 64 sphere: the kernel's operand is the
+    # model's and a noise chunk fits the kernel's 1 MB scratch budget, so the
+    # run holds about 3.8 MB
+    model = ExactScoreModel(hypersphere(64, 1.0, 2048, seed=1), schedule)
+    cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=30, s_start=0.3,
+                        init="gls", seed=11)
+    gc.collect()  # untraced free-list objects would move the peak
+    tracemalloc.start()
+    try:
+        run_sampler(model, cfg, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.3e6, peak
+
+
 @pytest.mark.parametrize("kind", ["stochastic_sde", "ancestral_ddpm", "ddim"])
 @pytest.mark.parametrize("init", ["standard_normal", "gls"])
 @pytest.mark.parametrize("model_name", ["two_point_model", "gmm_model"])
