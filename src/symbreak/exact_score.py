@@ -8,10 +8,11 @@ empirical dataset {y_j} is the Gaussian mixture
 so the score, the generative potential, and all its derivatives are
 available in closed form.  Posterior weights over data points are softmax
 of -|x - theta*y_j|^2 / (2*(1-theta^2)); `posterior` evaluates them, their
-mean and their max-subtracted log-sum-exp in one pass, so saturated regimes
+mean and their shifted log-sum-exp in one pass, so saturated regimes
 (theta near 1) stay finite.  Its logits are one GEMM of the scaled batch and
-the theta-free [Y^T ; -|y|^2/2], in row blocks, point-major from N rows up;
-shifted logits are floored at -700 before exp.
+the theta-free [Y^T ; -|y|^2/2 ; 1], in row blocks, point-major from N rows
+up; a row whose logits a bound from |x| certifies comes out shifted into
+exp's range, and any other row is shifted by its max and floored at -700.
 
 The potential u(x, t) at generative time t (forward time s = T - t) is
 
@@ -24,6 +25,7 @@ is the generative drift: -grad u = beta * score + beta * x / 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +36,12 @@ from .schedule import VpSchedule
 
 
 # Most scratch entries one call holds (1 MB of float64): rows go in blocks of
-# k = max(1, _BLOCK_ENTRIES // (N + D + 2)): a (k, N) block, k rows of x, k sums.
+# k = max(1, _BLOCK_ENTRIES // (N + D + 2)): a (k, N) block, k scaled rows.
 _BLOCK_ENTRIES = 2 ** 17
 # numpy's vector exp leaves its fast path below about -708; e^-700 ~ 1e-304.
 _EXP_FLOOR = -700.0
+# A certified row's shifted logits span at most this, 10 inside the floor.
+_SPREAD = -_EXP_FLOOR - 10.0
 
 
 def _sq_norms(X: np.ndarray) -> np.ndarray:
@@ -48,22 +52,29 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class KernelConstants:
     """The theta-free operands of a dataset's posterior kernel, built once
-    per model instead of once per call: the points, the (D + 1, N) GEMM
-    operand [Y^T ; -|y|^2 / 2] and the ones vector of the row sums."""
+    per model instead of once per call: the points, the (D + 2, N) GEMM
+    operand [Y^T ; -|y|^2 / 2 ; 1], whose ones row also sums the rows, and
+    what `posterior` bounds each row's logits by (see `_certified_radius`):
+    the points' mean, their radius max|y - mean| and the least and greatest
+    |y|^2."""
 
     points: np.ndarray  # (N, D)
-    operand: np.ndarray  # (D + 1, N), C-contiguous
-    ones: np.ndarray  # (N,)
+    operand: np.ndarray  # (D + 2, N), C-contiguous
+    center: np.ndarray  # (D,)
+    radius: float
+    sq_min: float
+    sq_max: float
 
     @classmethod
     def of(cls, points: np.ndarray) -> "KernelConstants":
-        operand = np.empty((points.shape[1] + 1, points.shape[0]))
-        operand[:-1] = points.T
-        np.multiply(_sq_norms(points), -0.5, out=operand[-1])
-        consts = (operand, np.ones(points.shape[0]))
-        for a in consts:
+        sq, center = _sq_norms(points), points.mean(axis=0)
+        operand = np.ascontiguousarray(
+            np.vstack([points.T, -0.5 * sq, np.ones_like(sq)]))
+        for a in (operand, center):
             a.setflags(write=False)
-        return cls(points, *consts)
+        return cls(points, operand, center,
+                   float(np.sqrt(np.max(_sq_norms(points - center)))),
+                   float(sq.min()), float(sq.max()))
 
 
 @dataclass(frozen=True)
@@ -71,7 +82,8 @@ class Posterior:
     """One pass of the posterior kernel over a (B, D) batch.
 
     log_norm is logsumexp_j of the shifted logits
-    (theta/var) x.y_j - theta^2 |y_j|^2 / (2 var); the log-kernels
+    (theta/var) x.y_j - theta^2 |y_j|^2 / (2 var), as the row's shift (its
+    bound U or its max) plus the log of its row sum; the log-kernels
     -|x - theta*y_j|^2 / (2 var) sum to log_norm - |x|^2 / (2 var).
     """
 
@@ -80,60 +92,106 @@ class Posterior:
     weights: np.ndarray | None  # (B, N) posterior weights, if asked for
 
 
+def _certified_radius(kernel: KernelConstants, theta: float) -> float:
+    """The |x| below which `posterior` certifies a row at signal level theta:
+    with c = theta/var, the row's logits lie in [U - S, U] for
+    U = c (x.mu + R|x| - theta min|y|^2 / 2) and
+    S = c (2 R|x| + theta (max|y|^2 - min|y|^2) / 2) (mu and R the points'
+    mean and radius), and S <= _SPREAD; and the GEMM's terms, at most
+    c (4 |x| max|y| + theta max|y|^2), stay below 2^52 / (D + 2), so that
+    the shift -U rounds by under 1/2 inside it."""
+    c = theta / (1.0 - theta * theta)
+    radius = math.inf
+    for budget, rate in (
+            (_SPREAD - 0.5 * c * theta * (kernel.sq_max - kernel.sq_min),
+             2.0 * c * kernel.radius),
+            (2.0 ** 52 / (kernel.points.shape[1] + 2) - c * theta * kernel.sq_max,
+             4.0 * c * math.sqrt(kernel.sq_max))):
+        if not budget >= 0:
+            return -math.inf
+        if rate > 0:
+            radius = min(radius, budget / rate)
+    return radius
+
+
 def posterior(X: np.ndarray, kernel: KernelConstants, theta: float, *,
               mean: bool = True, weights: bool = False) -> Posterior:
     """The posterior kernel of a (B, D) batch at signal level theta, over
     the dataset whose constants `kernel` holds.
 
     Softmax is shift-invariant per row, so the logits drop the row constant
-    -|x|^2 / (2 var): one GEMM [(theta/var) x, theta^2/var] @ [Y^T ; -|y|^2/2]
-    adds the per-point bias with theta all on the batch side, so the operand
-    is the model's.  Each row is shifted by its max, floored at -700 (so exp
-    stays on its fast path; a weight below e^-700 of the row's top comes back
-    as e^-700 / z, not 0 or a subnormal), exponentiated and summed by a gemv
-    against ones; the mean divides the (B, D) product, and the weights each
-    block, by the row sums.  Rows go in blocks through one reused buffer, for
-    every output.  A block is point-major (column-major memory) when it holds
-    at least N rows, so the row max runs down contiguous points, and row-major
-    otherwise: wide rows reduce fast, and point-major (62, 2048) blocks made
-    the N = 2048 kernel 5-20% slower.
+    -|x|^2 / (2 var) and take a shift in one GEMM, [(theta/var) x,
+    theta^2/var, -shift] @ [Y^T ; -|y|^2/2 ; 1], with theta all on the batch
+    side, so the operand is the model's.  A certified row
+    (`_certified_radius`) is shifted by its bound U: its logits leave the
+    GEMM within [-_SPREAD, 0] and go straight to exp, and log_norm =
+    U + log z.  Any other row (near s = 0, far, non-finite) is shifted by 0,
+    then by its row max, and floored at -700 (so exp stays on its fast path;
+    a weight below e^-700 of the row's top comes back as e^-700 / z, not 0
+    or a subnormal); those passes run only on a block that holds such a row,
+    with shift 0 for its certified rows.  A gemv against the ones row sums
+    the exponentials; the mean divides the (B, D) product, and the weights
+    each block, by the row sums.  Rows go in blocks through one reused
+    buffer, for every output, so a row's bytes depend only on the row and
+    its place in its block.  A block is point-major (column-major memory)
+    when it holds at least N rows, so the row max runs down contiguous
+    points, and row-major otherwise: point-major (62, 2048) blocks made the
+    N = 2048 kernel 5-20% slower.
     """
     points = kernel.points
     B, (N, D) = X.shape[0], points.shape
-    var = 1.0 - theta * theta
+    c, ones = theta / (1.0 - theta * theta), np.ones(D)
+    certified = _certified_radius(kernel, theta)
     k = max(1, min(B, _BLOCK_ENTRIES // (N + D + 2)))
     order = "F" if N <= k else "C"  # point-major: max down contiguous rows
     log_norm = np.empty(B)
-    M = None
+    M = np.empty((B, D)) if mean else None
     W = np.empty((B, N)) if weights else None
     buf = np.empty(k * N)
-    for lo in range(0, B, k):
-        m = min(k, B - lo)  # a contiguous block, also when the last is short
+    for j in range(-(-B // k)):
+        # rows [j k, j k + k), the last block short; no offset held as a
+        # Python int, so every full block holds the same objects
+        xb, shift = X[j * k:(j + 1) * k], log_norm[j * k:(j + 1) * k]
+        m = len(shift)
         e = buf[:m * N].reshape(m, N, order=order)
-        # [x, theta] * (theta/var), scaled whole: a ufunc that writes a
-        # strided column slice holds a buffer the size of the slice
-        xa = np.empty((m, D + 1))
-        xa[:, :D] = X[lo:lo + m]
-        xa[:, D] = theta
-        xa *= theta / var
-        np.matmul(xa, kernel.operand, out=e)
-        del xa  # a temporary's lifetime: held past here, it adds to the peak
-        top = np.max(e, axis=1, out=log_norm[lo:lo + m])  # row max, for now
-        e -= top[:, None]
-        np.maximum(e, _EXP_FLOOR, out=e)
+        # |x| (2x faster than einsum at D = 2), then the shift, U or 0, by
+        # per-row dots in the row's log_norm slot; a far or non-finite row's
+        # overflow or NaN here leaves it uncertified, with shift 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.sqrt(np.matmul(np.square(xb), ones, out=shift), out=shift)
+            cert = shift < certified  # NaN compares False: uncertified
+            n = np.count_nonzero(cert)
+            if n:
+                shift *= kernel.radius
+                shift += xb @ kernel.center
+                shift -= 0.5 * theta * kernel.sq_min
+                shift *= c
+        if n < m:
+            shift[~cert] = 0.0
+        # point-major, so rows fill contiguously (14 us less at (1000, 4))
+        xt = np.empty((D + 2, m))
+        xt[:D] = xb.T
+        xt[D] = theta
+        xt[:D + 1] *= c
+        np.negative(shift, out=xt[D + 1])
+        np.matmul(xt.T, kernel.operand, out=e)
+        del xt  # a temporary's lifetime: held past here, it adds to the peak
+        if n < m:  # the row max for uncertified rows, 0 for certified ones
+            top = np.max(e, axis=1)
+            top[cert] = 0.0
+            e -= top[:, None]
+            np.maximum(e, _EXP_FLOOR, out=e)
+            shift += top
+            del top
         np.exp(e, out=e)
-        z = e @ kernel.ones  # row sums by gemv, after the broadcasts' ufunc buffers
+        z = e @ kernel.operand[D + 1]  # row sums by gemv against the ones row
         if mean:
-            if M is None:  # after the broadcasts, each of which holds numpy's
-                # 64 KB ufunc buffer: a one-block call then peaks lower
-                M = np.empty((B, D))
-            np.matmul(e, points, out=M[lo:lo + m])
-            M[lo:lo + m] /= z[:, None]
+            np.matmul(e, points, out=M[j * k:(j + 1) * k])
+            M[j * k:(j + 1) * k] /= z[:, None]
         if weights:
-            np.divide(e, z[:, None], out=W[lo:lo + m])
-        top += np.log(z)
-    if mean and M is None:  # an empty batch
-        M = np.empty((0, D))
+            np.divide(e, z[:, None], out=W[j * k:(j + 1) * k])
+        shift += np.log(z, out=z)
+        del z  # held into the next block's GEMM, it adds to the peak
     return Posterior(log_norm, M, W)
 
 

@@ -1,10 +1,18 @@
 """Print one `name sha256` line for each CLI artifact and API output.
 
     PYTHONPATH=src python3 tests/artifact_hashes.py > hashes.txt
+    PYTHONPATH=src python3 tests/artifact_hashes.py --arrays DIR > hashes.txt
+    PYTHONPATH=src python3 tests/artifact_hashes.py --delta DIR_A DIR_B
 
 Run it on two checkouts, each with its own `src` on PYTHONPATH, and `diff`
-the two outputs: the names that differ are the bytes a change moved.  It
-covers
+the two outputs: the names that differ are the bytes a change moved.
+`--arrays DIR` also writes each API output to `DIR/<name>.npy`, or, for an
+output of several parts, to `DIR/<name>/<part>.npy` (a `score`'s
+log_density, score and weights; a `run_sampler`'s s_grid, finals and
+trajectories; a fixed-point set's parts by index), and each CSV artifact's
+numbers to `DIR/<name>.npy`.  `--delta A B` then prints `name max|A - B|`
+for each array found in both dumps, largest first (`shape` where the shapes
+differ, `nan` where only one side is NaN).  It covers
 
 - 11 CLI runs with `--seed 11`: `sample` with trajectories for each sampler
   kind, two `sweep`s, one `scan`, `bifurcate` with and without a dataset,
@@ -24,6 +32,7 @@ collected test.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -55,9 +64,19 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def _artifacts(name: str, out: Path):
+def _save(arrays: Path | None, name: str, value) -> None:
+    if arrays is not None:
+        path = arrays / f"{name}.npy"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.save(path, np.asarray(value))
+
+
+def _artifacts(name: str, out: Path, arrays: Path | None):
     for path in sorted(out.iterdir()):
         if path.name != "manifest.json":
+            if path.suffix == ".csv":  # a header reads as a row of NaN
+                _save(arrays, f"{name}/{path.name}",
+                      np.genfromtxt(path, delimiter=",", ndmin=2))
             yield f"{name}/{path.name}", digest(path.read_bytes())
 
 
@@ -68,7 +87,7 @@ def _cli(name: str, argv: list[str]):
         raise SystemExit(f"{name}: exit code {code}")
 
 
-def cli_hashes(work: Path):
+def cli_hashes(work: Path, arrays: Path | None):
     line = work / "line.csv"
     line.write_text("-1,0\n1,0\n")
     gmm = {"kind": "gaussian_mixture", "centers": GMM3, "std": 0.08,
@@ -117,10 +136,10 @@ def cli_hashes(work: Path):
         argv = [command] if isinstance(command, str) else command
         _cli(name, [*argv, "--config", str(path), "--out", str(work / name),
                     "--seed", "11"])
-        yield from _artifacts(f"cli/{name}", work / name)
+        yield from _artifacts(f"cli/{name}", work / name, arrays)
 
 
-def landscape_hashes(work: Path):
+def landscape_hashes(work: Path, arrays: Path | None):
     sys.path.insert(0, str(BENCH))
     from workloads import Landscape
 
@@ -131,7 +150,8 @@ def landscape_hashes(work: Path):
         for label, argv in ctx.commands.items():
             _cli(label, argv)
         for label, out in ctx.out.items():
-            yield from _artifacts(f"landscape/seed{seed}/{label}", out)
+            yield from _artifacts(f"landscape/seed{seed}/{label}", out,
+                                  arrays)
 
 
 def _ring() -> EmpiricalDataset:
@@ -140,7 +160,52 @@ def _ring() -> EmpiricalDataset:
                             radius=1.0, centered=True)
 
 
-def api_hashes():
+def _run_parts(run) -> dict:
+    return {"s_grid": run.s_grid, "finals": run.finals,
+            "trajectories": run.trajectories}
+
+
+def _parts(value) -> dict:
+    """An API output as its named parts, in hashing order."""
+    if isinstance(value, dict):
+        return value
+    if isinstance(value, tuple):
+        return {str(i): part for i, part in enumerate(value)}
+    return {"": value}
+
+
+def api_hashes(arrays: Path | None):
+    for name, value in api_outputs():
+        parts = _parts(value)
+        for label, part in parts.items():
+            _save(arrays, f"{name}/{label}" if label else name, part)
+        yield name, digest(*parts.values())
+
+
+def delta(a: Path, b: Path) -> None:
+    rows = []
+    for path in sorted(a.rglob("*.npy")):
+        other = b / path.relative_to(a)
+        if not other.exists():
+            continue
+        x, y = np.load(path), np.load(other)
+        name = str(path.relative_to(a))[:-len(".npy")]
+        if x.shape != y.shape:
+            rows.append((np.inf, name, "shape"))
+        elif x.dtype.kind not in "fiub":
+            rows.append((0.0 if np.array_equal(x, y) else np.inf, name,
+                         "equal" if np.array_equal(x, y) else "differ"))
+        elif np.any(np.isnan(x) != np.isnan(y)):
+            rows.append((np.inf, name, "nan"))
+        else:
+            both = ~np.isnan(x) & (x != y)  # equal infinities do not move
+            d = float(np.max(np.abs(x[both] - y[both]), initial=0.0))
+            rows.append((d, name, f"{d:.3g}"))
+    for _, name, text in sorted(rows, key=lambda r: -r[0]):
+        print(name, text)
+
+
+def api_outputs():
     schedule = VpSchedule()
     data = {
         "two_point": two_point_1d(),
@@ -165,11 +230,12 @@ def api_hashes():
                 }
                 if batch == 1:
                     ev = model.score(X[0], s)
-                    outputs["score"] = (ev.log_density, ev.score, ev.weights)
+                    outputs["score"] = {"log_density": ev.log_density,
+                                        "score": ev.score,
+                                        "weights": ev.weights}
                     outputs["hessian"] = model.hessian(X[0], t)
                 for method, value in outputs.items():
-                    parts = value if isinstance(value, tuple) else (value,)
-                    yield f"{key}/{method}", digest(*parts)
+                    yield f"{key}/{method}", value
 
     gmm = ExactScoreModel(data["gmm3"], schedule)
     for kind in ("stochastic_sde", "ancestral_ddpm", "ddim"):
@@ -177,15 +243,13 @@ def api_hashes():
             cfg = SamplerConfig(kind=kind, n_steps=10, s_start=0.7, init=init,
                                 seed=11)
             run = run_sampler(gmm, cfg, 33, keep_trajectories=True)
-            yield (f"api/run_sampler/{kind}/{init}",
-                   digest(run.s_grid, run.finals, run.trajectories))
+            yield f"api/run_sampler/{kind}/{init}", _run_parts(run)
     # 512 chains in D=64: 30 steps of noise are more than one chunk
     cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=30, s_start=0.3,
                         init="gls", seed=11)
     run = run_sampler(ExactScoreModel(data["sphere64"], schedule), cfg, 512,
                       keep_trajectories=True)
-    yield ("api/run_sampler/wide_sphere",
-           digest(run.s_grid, run.finals, run.trajectories))
+    yield "api/run_sampler/wide_sphere", _run_parts(run)
 
     fixed = {
         "two_point": (data["two_point"], (0.5, 0.8, 0.95)),
@@ -199,9 +263,9 @@ def api_hashes():
         for theta in thetas:
             res = bifurcation.fixed_points_general(model, theta)
             yield (f"api/fixed_points_general/{dname}/theta{theta:g}",
-                   digest(*(p.x for p in res.points),
-                          [p.stability for p in res.points],
-                          res.n_seeds, res.failed_seeds))
+                   (*(p.x for p in res.points),
+                    [p.stability for p in res.points],
+                    res.n_seeds, res.failed_seeds))
 
     rng = np.random.default_rng(5)
     full = rng.standard_normal((200, 3))
@@ -209,19 +273,29 @@ def api_hashes():
     for name, ref, gen in (("full_rank", full, 0.5 * full[::-1] + 0.2),
                            ("one_flat", flat, full),
                            ("both_flat", flat, 2.0 * flat + 1.0)):
-        yield f"api/frechet_gaussian/{name}", digest(
-            analysis.frechet_gaussian(ref, gen).frechet)
+        yield (f"api/frechet_gaussian/{name}",
+               analysis.frechet_gaussian(ref, gen).frechet)
 
     lams = (0.0, 0.25, 1.0, 2.0, 1e3, 9e4, 1e154, 1e200, 1.7e308)
-    yield "api/critical_theta_cov", digest(
-        [bifurcation.critical_theta_cov(lam) for lam in lams])
+    yield "api/critical_theta_cov", [bifurcation.critical_theta_cov(lam)
+                                     for lam in lams]
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--arrays", type=Path, metavar="DIR",
+                        help="also write each API output as .npy under DIR")
+    parser.add_argument("--delta", type=Path, nargs=2, metavar=("A", "B"),
+                        help="print the largest |A - B| of each array in both")
+    args = parser.parse_args()
+    if args.delta:
+        delta(*args.delta)
+        return
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, sha in (*cli_hashes(work), *landscape_hashes(work),
-                          *api_hashes()):
+        for name, sha in (*cli_hashes(work, args.arrays),
+                          *landscape_hashes(work, args.arrays),
+                          *api_hashes(args.arrays)):
             print(name, sha)
 
 

@@ -151,6 +151,21 @@ def ddim_step(x, x0, abar, abar_next):
     return np.sqrt(abar_next) * x0 + np.sqrt(1.0 - abar_next) * eps
 
 
+def posterior_max_shift(points, theta, X):
+    """Posterior mean, weights and log-normalizer of each row of X by the
+    textbook max shift: logits (theta/var) x.y_j - theta^2 |y_j|^2 / (2 var)
+    by an explicit sum over coordinates, shifted by their row max before
+    exp; the log-normalizer is their logsumexp."""
+    var = 1.0 - theta * theta
+    L = (theta / var) * np.sum(X[:, None, :] * points[None], axis=2) \
+        - (theta * theta / (2.0 * var)) * np.sum(points * points, axis=1)
+    top = L.max(axis=1, keepdims=True)
+    w = np.exp(L - top)
+    z = w.sum(axis=1, keepdims=True)
+    w /= z
+    return w @ points, w, top[:, 0] + np.log(z[:, 0])
+
+
 def self_consistency_map(points, theta, X):
     """g(x) = (2 theta/(1+theta^2)) E_w[Y | x] per row of X, the posterior
     weights by a direct softmax of -|x - theta y|^2 / (2 (1 - theta^2))."""

@@ -1,15 +1,18 @@
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp, softmax
 
 from symbreak import (EmpiricalDataset, ExactScoreModel, center_and_normalize,
                       gaussian_mixture, hypersphere)
 from symbreak.errors import DomainError, ShapeError
-from symbreak.exact_score import _BLOCK_ENTRIES
+from symbreak.exact_score import _BLOCK_ENTRIES, _certified_radius, posterior
 from symbreak.rng import stream
 
 import oracles
@@ -497,8 +500,9 @@ def test_single_point_methods_equal_their_one_row_batch(schedule, shape):
 
 
 def test_weights_scratch_stays_bounded(schedule):
-    # beyond its (B, N) output, the weights path holds what every kernel
-    # call holds: the (D + 1, N) operand and one block of scratch
+    # beyond its (B, N) output, the weights path holds one block of scratch;
+    # the bound also allows an operand-sized array, which no call allocates
+    # (the (D + 2, N) operand is the model's)
     B, N, D = 512, 2048, 64
     model = ExactScoreModel(hypersphere(D, 1.0, N, seed=4), schedule)
     X = stream(24).standard_normal((B, D))
@@ -508,7 +512,7 @@ def test_weights_scratch_stays_bounded(schedule):
 
 
 def test_one_row_call_holds_no_operand(schedule):
-    # the (D + 1, N) GEMM operand is the model's, built once: a one-row call
+    # the (D + 2, N) GEMM operand is the model's, built once: a one-row call
     # holds a one-row block, not a 1 MB operand of its own
     N, D = 2048, 64
     model = ExactScoreModel(hypersphere(D, 1.0, N, seed=4), schedule)
@@ -524,3 +528,89 @@ def test_hessian_holds_one_copy_of_the_points(schedule):
     x = stream(24).standard_normal(D)
     peak = _peak_bytes(model.hessian, x, schedule.horizon - 0.4)
     assert peak < 1.5 * N * D * 8, peak
+
+
+# A row whose logits a bound from |x| and x.mu certifies is shifted by that
+# bound inside the GEMM, and any other row by its max after it.  Against the
+# max-shift reference every output is within 1000 ulps of the logits' term
+# size T = 1 + (theta/var) (|x| max|y| + theta max|y|^2): log_norm absolutely,
+# the weights absolutely, and the mean on the data's scale max|y|.
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.sampled_from([1, 2, 64]), D=st.sampled_from([1, 2, 5]),
+       s=st.sampled_from([1e-4, 0.01, 0.05, 0.3, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1), far=st.floats(1.0, 1e3))
+def test_kernel_matches_the_max_shift_reference(schedule, N, D, s, seed, far):
+    rng = np.random.default_rng(seed)
+    # off-centre data with unequal norms, and a batch whose every third row
+    # is pushed out by `far`, so batches mix certified and uncertified rows
+    points = rng.uniform(-1.0, 3.0, D) + rng.uniform(0.05, 2.0) \
+        * rng.standard_normal((N, D))
+    X = 2.0 * rng.standard_normal((60, D))
+    X[::3] *= far
+    model = ExactScoreModel(EmpiricalDataset(points), schedule)
+    theta, var = model._s_forward(s)
+    post = posterior(X, model.kernel, theta, weights=True)
+    mean, W, log_norm = oracles.posterior_max_shift(model.dataset.points,
+                                                    theta, X)
+    ymax = np.sqrt(np.max(np.sum(points * points, axis=1)))
+    T = 1.0 + theta / var * (np.linalg.norm(X, axis=1) * ymax
+                             + theta * ymax * ymax)
+    tol = 1000 * np.finfo(float).eps * T
+    assert np.all(np.abs(post.log_norm - log_norm) <= tol)
+    assert np.all(np.abs(post.weights - W) <= tol[:, None])
+    assert np.all(np.abs(post.mean - mean) <= tol[:, None] * ymax)
+
+
+@pytest.mark.parametrize("B", [40, 300])  # row-major and point-major blocks
+@pytest.mark.parametrize("s", [0.05, 0.3])
+def test_a_row_does_not_depend_on_its_block_mates(gmm_model, B, s):
+    # every fourth row pushed past the certified radius: in that mixed block
+    # each row is the same bytes as in a block of certified rows
+    kernel, (theta, _) = gmm_model.kernel, gmm_model._s_forward(s)
+    radius = _certified_radius(kernel, theta)
+    X = stream(27).standard_normal((B, 2))
+    mixed = X.copy()
+    mixed[1::4] *= 2.0 * radius / np.linalg.norm(X[1::4], axis=1)[:, None]
+    certified = np.linalg.norm(mixed, axis=1) < radius
+    assert certified.any() and not certified.all()
+    assert np.all(np.linalg.norm(X, axis=1) < radius)
+    whole = posterior(mixed, kernel, theta, weights=True)
+    for i in range(B):
+        mates = X.copy()
+        mates[i] = mixed[i]
+        alone = posterior(mates, kernel, theta, weights=True)
+        for got, want in zip((whole.log_norm, whole.mean, whole.weights),
+                             (alone.log_norm, alone.mean, alone.weights)):
+            assert np.array_equal(got[i], want[i]), (i, certified[i])
+
+
+def test_a_far_state_keeps_finite_outputs(gmm_model, schedule):
+    # far states are never certified: their shift is the row max, so their
+    # logits stay finite, with no warning.  On twin points (radius 0) only the
+    # bound on the GEMM's terms keeps states near 1e100 uncertified
+    twin = ExactScoreModel(EmpiricalDataset(
+        np.array([[0.7, -0.2, 0.3, 1.1, -0.5]] * 2)), schedule)
+    far = np.array([[1e279, -3e278], [0.3, 0.1], [-2e278, 5e278]])
+    for model, X in ((gmm_model, far),
+                     (twin, 1e100 * stream(29).standard_normal((8, 5)))):
+        for s in (1e-4, 0.05, 0.3, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                post = posterior(X, model.kernel, model._s_forward(s)[0],
+                                 weights=True)
+            for out in (post.log_norm, post.mean, post.weights):
+                assert np.all(np.isfinite(out)), (model.dataset.n_points, s)
+
+
+def test_the_bound_certifies_typical_rows(gmm_model):
+    # criterion 7's mixture with standard-normal states: the bound must
+    # certify every row from s = 0.05 up, and must not certify all at s_min,
+    # so a bound that quietly stopped applying fails here
+    norms = np.linalg.norm(stream(28).standard_normal((2000, 2)), axis=1)
+    kernel = gmm_model.kernel
+    for s in (0.05, 0.3, 1.0):
+        theta = gmm_model._s_forward(s)[0]
+        assert np.all(norms < _certified_radius(kernel, theta)), s
+    theta = gmm_model._s_forward(1e-4)[0]
+    assert not np.all(norms < _certified_radius(kernel, theta))

@@ -283,6 +283,17 @@ def test_overflowing_state_is_reported_as_diverged():
             run_sampler(stiff, cfg, 4)
 
 
+def test_divergence_guard_checks_every_row():
+    # one max-abs pass clears a batch whose entries cannot overflow a squared
+    # norm; past that bound the exact per-row check decides
+    with pytest.raises(DivergedError):  # finite, but |x|^2 = 2.56e308
+        samplers._check_finite(np.full((3, 64), 2e153) * [[0.0], [1.0], [0.0]], 7)
+    with pytest.raises(DivergedError):
+        samplers._check_finite(np.array([[0.5, 1.0], [np.nan, 0.0], [2.0, 3.0]]), 7)
+    for big in (8e152, 1e153):  # |x|^2 up to 6.4e307 < 1.8e308: safe
+        samplers._check_finite(np.full((3, 64), big) * [[0.0], [1.0], [-1.0]], 7)
+
+
 def test_sweep_shapes_and_common_random_numbers(two_point_model):
     grid = [0.2, 0.5, 1.0]
     metric = lambda finals: float(np.mean(finals ** 2))
