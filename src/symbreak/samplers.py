@@ -6,8 +6,11 @@ and finish with a posterior-mean jump E[Y0 | x] at s_min.  Chain i draws
 all of its randomness from the counter-based stream keyed (seed, i), so a
 batch is bit-reproducible regardless of execution order or thread count.
 A run draws its batch from `rng.ChainStreams`, whose row i is stream
-(seed, i): init first, then the step noise, in chunks whose size does not
-depend on n_steps (see _NOISE_BUDGET), so neither does the run's memory.
+(seed, i): init first, then the step noise, whole when it fits
+_NOISE_BUDGET and otherwise in chunks of about one Generator's worth of
+floats per chain (_STREAM_FLOATS), so the run's memory does not depend on
+n_steps.  A step updates the kernel's output in place, so a run holds the
+state, one posterior mean, one temporary, the kernel's block and its noise.
 `late_start_sweep` draws repeat r's whole batch once with
 `rng.chain_normals`, read-only, and every grid point of that repeat reuses
 it through `run_sampler(..., normals=...)`; row i is still stream
@@ -35,13 +38,14 @@ from .rng import ChainStreams, chain_normals, check_seed, stream
 _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
 _INITS = ("standard_normal", "gls")
 KNEE_MIN_POINTS = 5  # fewest grid points estimate_knee accepts
-# Most step-noise floats a run draws at once, the kernel's 1 MB budget: a run
-# with more noise holds the init plus k steps of it at a time, k the larger of
-# _NOISE_BUDGET // (batch * d) and ceil(_STREAM_FLOATS / d).
+# A run draws its step noise in one piece when that is at most the kernel's
+# 1 MB budget of floats, or at most ceil(_STREAM_FLOATS / d) steps; a run
+# with more noise draws it in chunks of ceil(_STREAM_FLOATS / d) steps.
 _NOISE_BUDGET = _BLOCK_ENTRIES
 # A chunked run keeps one Generator per chain, about 600 bytes each, and
-# pays a Python call per chain per chunk: a chunk narrower than that many
-# floats per chain would save little memory and cost much time.
+# pays a Python call per chain per chunk: a chunk of this many floats per
+# chain, about a Generator's size, amortizes the call, and a narrower one
+# would save little memory and cost much time.
 _STREAM_FLOATS = 80
 
 
@@ -177,7 +181,9 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
     shape = _normals_shape(model, config, batch)
     streams = None
     if normals is None:
-        k = min(n_noise, max(_NOISE_BUDGET // (batch * d), -(-_STREAM_FLOATS // d)))
+        k = -(-_STREAM_FLOATS // d)
+        if n_noise <= max(_NOISE_BUDGET // (batch * d), k):
+            k = n_noise
         streams = ChainStreams(config.seed, batch)
         z = streams.draw((1 + k) * d, last=k == n_noise)
     else:
@@ -217,26 +223,41 @@ def _run(model: ExactScoreModel, config: SamplerConfig, batch: int,
         traj[:, 0] = X
     for i in range(config.n_steps):
         s, s_next = float(grid[i]), float(grid[i + 1])
-        # each step's noise is used inline, so no name holds its chunk
+        # a step holds the state, the posterior mean and one temporary: it
+        # updates the kernel's output in place, in the textbook expression's
+        # order of operations, so every byte is the same.  Each step's noise
+        # is used inline, so no name holds its chunk.
         if config.kind == "stochastic_sde":
             beta = betas[i]
             dt = s - s_next
-            X = (X + beta * (model.score_batch(X, s) + 0.5 * X) * dt
-                 + np.sqrt(beta * dt) * next(noise))
+            x_next = model.score_batch(X, s)
+            x_next += 0.5 * X
+            x_next *= beta
+            x_next *= dt
+            x_next += X
+            x_next += np.sqrt(beta * dt) * next(noise)
         else:
             th, th_next = thetas[i], thetas[i + 1]
-            x0 = model.posterior_mean_batch(X, s)
+            x_next = model.posterior_mean_batch(X, s)
             if config.kind == "ancestral_ddpm":
                 abar, abar_next = th * th, th_next * th_next
                 alpha_step = abar / abar_next
                 beta_step = 1.0 - alpha_step
-                mean = (np.sqrt(abar_next) * beta_step * x0
-                        + np.sqrt(alpha_step) * (1.0 - abar_next) * X) / (1.0 - abar)
+                x_next *= np.sqrt(abar_next) * beta_step
+                tmp = X * (np.sqrt(alpha_step) * (1.0 - abar_next))
+                x_next += tmp
+                x_next /= 1.0 - abar
                 std = np.sqrt(beta_step * (1.0 - abar_next) / (1.0 - abar))
-                X = mean + std * next(noise)
-            else:  # ddim
-                eps = (X - th * x0) / np.sqrt(1.0 - th * th)
-                X = th_next * x0 + np.sqrt(1.0 - th_next * th_next) * eps
+                x_next += np.multiply(next(noise), std, out=tmp)
+            else:  # ddim: eps = (X - th x0) / sqrt(1 - th^2)
+                tmp = x_next * th
+                np.subtract(X, tmp, out=tmp)
+                tmp /= np.sqrt(1.0 - th * th)
+                x_next *= th_next
+                tmp *= np.sqrt(1.0 - th_next * th_next)
+                x_next += tmp
+            del tmp  # held into the next step's kernel pass, it adds to the peak
+        X = x_next
         _check_finite(X, i)
         if traj is not None:
             traj[:, i + 1] = X

@@ -7,8 +7,9 @@ import pytest
 from scipy import stats
 
 from symbreak import (EmpiricalDataset, ExactScoreModel, SamplerConfig,
-                      VpSchedule, estimate_knee, forward_sample, gls_init,
-                      hypersphere, late_start_sweep, run_sampler, sample_ddim,
+                      VpSchedule, estimate_knee, forward_sample,
+                      gaussian_mixture, gls_init, hypersphere,
+                      late_start_sweep, run_sampler, sample_ddim,
                       sample_stochastic, samplers, two_point_1d)
 from symbreak.errors import DivergedError, DomainError, ShapeError
 from symbreak.rng import chain_normals
@@ -448,6 +449,16 @@ def test_chunks_are_at_least_a_stream_wide(gmm_model, monkeypatch, n_steps,
     assert drawn == widths
 
 
+def _run_peak(model, cfg, batch):
+    gc.collect()  # untraced free-list objects would move the peak
+    tracemalloc.start()
+    try:
+        run_sampler(model, cfg, batch)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sampler_memory_does_not_grow_with_n_steps(schedule):
     # 100 steps of noise for 2000 chains in D=8 are 12.8 MB and 1000 steps
     # 128 MB; drawn in chunks, the run's peak holds one chunk either way
@@ -456,31 +467,34 @@ def test_sampler_memory_does_not_grow_with_n_steps(schedule):
     for n_steps in (100, 1000):
         cfg = SamplerConfig(kind="stochastic_sde", n_steps=n_steps,
                             s_start=1.0, seed=6)
-        gc.collect()  # untraced free-list objects would move the peak
-        tracemalloc.start()
-        try:
-            run_sampler(model, cfg, 2000)
-            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[n_steps] = _run_peak(model, cfg, 2000)
     assert peaks[1000] - peaks[100] < 0.5e6, peaks
 
 
 def test_wide_sphere_run_memory_is_bounded(schedule):
     # 512 chains on the N = 2048, D = 64 sphere: the kernel's operand is the
-    # model's and a noise chunk fits the kernel's 1 MB scratch budget, so the
-    # run holds about 3.8 MB
+    # model's, a step updates the kernel's output in place, and a noise
+    # chunk is 2 steps, 128 floats per chain; the run holds the state, one
+    # posterior mean, the kernel's 1 MB block, a chunk and the chains'
+    # Generators, about 2.7 MB
     model = ExactScoreModel(hypersphere(64, 1.0, 2048, seed=1), schedule)
     cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=30, s_start=0.3,
                         init="gls", seed=11)
-    gc.collect()  # untraced free-list objects would move the peak
-    tracemalloc.start()
-    try:
-        run_sampler(model, cfg, 512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.3e6, peak
+    peak = _run_peak(model, cfg, 512)
+    assert peak < 3.0e6, peak
+
+
+def test_fast_ddim_run_memory_is_bounded(schedule):
+    # criterion 8's shape: 6000 chains in D = 2, 10 DDIM steps from a gls
+    # init; the state, one posterior mean, one step temporary and the
+    # kernel's 1 MB block, about 1.4 MB
+    model = ExactScoreModel(gaussian_mixture(
+        [[2.4, 0.6], [0.9, -0.4], [-1.6, 0.8], [-0.4, -2.0]], 0.1, 16,
+        seed=7), schedule)
+    cfg = SamplerConfig(kind="ddim", n_steps=10, s_start=0.5, init="gls",
+                        seed=0)
+    peak = _run_peak(model, cfg, 6000)
+    assert peak < 1.5e6, peak
 
 
 @pytest.mark.parametrize("kind", ["stochastic_sde", "ancestral_ddpm", "ddim"])

@@ -22,6 +22,20 @@ def test_a_grid_at_once_equals_its_scalar_calls(schedule):
                     fn.__name__, s_start, n)
 
 
+def test_a_float_takes_the_scalar_path_to_the_same_bits(schedule):
+    # a Python float skips the 0-d array round trip, so it must still give
+    # the array path's bits (math.exp would miss on ~5% of these points)
+    # and reject what the array path rejects
+    grid = np.unique(np.append(np.linspace(0.0, 1.0, 10001), 1e-4))
+    for fn in (schedule.theta_at, schedule.beta_at):
+        for s, want in zip(grid.tolist(), fn(grid).tolist()):
+            got = fn(s)
+            assert type(got) is float and got == want, (fn.__name__, s)
+        for bad in (float("nan"), -1e-300, 1.0000000000000002):
+            with pytest.raises(DomainError):
+                fn(bad)
+
+
 def test_beta_is_the_linear_ramp(schedule):
     assert schedule.beta_at(0.0) == pytest.approx(0.1, abs=0)
     assert schedule.beta_at(1.0) == pytest.approx(20.0, abs=0)
