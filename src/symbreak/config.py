@@ -47,9 +47,11 @@ from .schedule import VpSchedule
 
 
 def load_config(path) -> dict:
+    # libyaml's parser if PyYAML has it: same constructors, dicts and errors
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad date, huge int

@@ -7,10 +7,10 @@ all of its randomness from the counter-based stream keyed (seed, i), so a
 batch is bit-reproducible regardless of execution order or thread count.
 A run draws its batch from `rng.ChainStreams`, whose row i is stream
 (seed, i): init first, then the step noise, whole when it fits
-_NOISE_BUDGET and otherwise in chunks of about one Generator's worth of
-floats per chain (_STREAM_FLOATS), so the run's memory does not depend on
-n_steps.  A step updates the kernel's output in place, so a run holds the
-state, one posterior mean, one temporary, the kernel's block and its noise.
+_NOISE_BUDGET and otherwise in chunks of at least _STREAM_FLOATS floats
+per chain, so the run's memory does not depend on n_steps.  A step
+updates the kernel's output in place, so a run holds the state, one
+posterior mean, one temporary, the kernel's block and its noise.
 `late_start_sweep` draws repeat r's whole batch once with
 `rng.chain_normals`, read-only, and every grid point of that repeat reuses
 it through `run_sampler(..., normals=...)`; row i is still stream
@@ -42,10 +42,10 @@ KNEE_MIN_POINTS = 5  # fewest grid points estimate_knee accepts
 # 1 MB budget of floats, or at most ceil(_STREAM_FLOATS / d) steps; a run
 # with more noise draws it in chunks of ceil(_STREAM_FLOATS / d) steps.
 _NOISE_BUDGET = _BLOCK_ENTRIES
-# A chunked run keeps one Generator per chain, about 600 bytes each, and
+# A chunked run keeps one bare Philox per chain, about 385 bytes each, and
 # pays a Python call per chain per chunk: a chunk of this many floats per
-# chain, about a Generator's size, amortizes the call, and a narrower one
-# would save little memory and cost much time.
+# chain, 640 bytes, amortizes the call, and a narrower one would save
+# little memory and cost much time.
 _STREAM_FLOATS = 80
 
 
@@ -147,11 +147,11 @@ def _normals_shape(model: ExactScoreModel, config: SamplerConfig,
 
 
 def _step_noise(chunk: np.ndarray, streams: Optional[ChainStreams],
-                n_noise: int) -> Iterator[np.ndarray]:
-    """Each step's (batch, d) noise: the k steps of the (batch, k, d)
-    `chunk`, then, while steps remain, k more at a time from `streams`.
-    Each chunk is dropped before the next is drawn."""
-    batch, k, d = chunk.shape
+                n_noise: int, k: int) -> Iterator[np.ndarray]:
+    """Each step's (batch, d) noise: the steps of the (batch, j, d) `chunk`,
+    then, while steps remain, k more at a time from `streams`.  Each chunk
+    is dropped before the next is drawn."""
+    batch, _, d = chunk.shape
     done = 0
     while True:
         for j in range(chunk.shape[1]):
@@ -174,8 +174,10 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
     the next n_noise * d, exactly as one Generator per chain would draw them.
     A run draws the init and k steps of noise, then k steps at a time as
     they are used, k as at _NOISE_BUDGET; the streams resume where they
-    stopped, so the bytes do not depend on k.  Given `normals` are never
-    written to, so they may be a read-only shared draw.
+    stopped, so the bytes do not depend on k.  A chunked gls run draws its
+    init alone, as a gls init is a new array; a standard-normal init is a
+    view of the draw.  Given `normals` are never written to, so they may be
+    a read-only shared draw.
     """
     d, n_noise = model.dataset.dim, _noise_steps(config)
     shape = _normals_shape(model, config, batch)
@@ -184,10 +186,11 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
         k = -(-_STREAM_FLOATS // d)
         if n_noise <= max(_NOISE_BUDGET // (batch * d), k):
             k = n_noise
+        first = 0 if config.init == "gls" and k < n_noise else k
         streams = ChainStreams(config.seed, batch)
-        z = streams.draw((1 + k) * d, last=k == n_noise)
+        z = streams.draw((1 + first) * d, last=first == n_noise)
     else:
-        z, k = np.asarray(normals, dtype=np.float64), n_noise
+        z, k, first = np.asarray(normals, dtype=np.float64), n_noise, n_noise
         if z.shape != shape:
             raise ShapeError(f"normals have shape {z.shape}, expected {shape}")
     init = z[:, :d]
@@ -196,7 +199,8 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
         # stacked mat-vec, bit-equal per row to L @ z; z @ L.T is a GEMM
         # whose rounding may depend on the batch and break the prefix property
         init = ginit.mean + np.matmul(ginit.cholesky, init[:, :, None])[:, :, 0]
-    return init, _step_noise(z[:, d:].reshape(batch, k, d), streams, n_noise)
+    return init, _step_noise(z[:, d:].reshape(batch, first, d), streams,
+                             n_noise, k)
 
 
 def _check_finite(X: np.ndarray, step: int) -> None:

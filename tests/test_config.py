@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from symbreak.config import (build_bifurcate, build_dataset, build_model,
                              build_sampler, build_scan, build_schedule,
@@ -21,6 +22,34 @@ def test_load_config_reads_yaml(tmp_path):
 
 def test_load_config_empty_file_is_empty_mapping(tmp_path):
     assert load_config(_write(tmp_path, "")) == {}
+
+
+def test_both_loaders_give_the_same_config(tmp_path, monkeypatch):
+    p = _write(tmp_path, """\
+dataset: {kind: gaussian_mixture, centers: [[2.4, 0.6], [-1.6, 0.8]],
+          std: 0.1, n_per_mode: 16, seed: 7, normalize: {radius: 1.5}}
+schedule: {beta_min: 0.1, beta_max: 20.0, n_steps: 1000}
+sampler:
+  kind: ancestral_ddpm
+  n_steps: 50
+  s_start: 800
+  init: gls
+  s_min: 1.0e-4
+  seed: 18446744073709551615
+  batch: 64
+  trajectories: true
+sweep: {s_start_grid: [0.2, 0.4, 0.6, 0.8, 1.0], repeats: 5}
+scan: {times: [100, 0.5], theta_targets: [0.9], n_alpha: 141,
+       smoothing_window: 3}
+bifurcate: {theta_start: 0.5, theta_stop: 1, theta_count: 40,
+            sweep_csv: "out/sweep_table.csv"}
+""")
+    fast = load_config(p)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    slow = load_config(p)
+    assert fast == slow
+    assert repr(fast) == repr(slow)  # also the types: 1 vs 1.0, True vs 1
+    assert len(fast) == 6 and fast["sampler"]["s_min"] == 1e-4
 
 
 def test_load_config_rejects_bad_input(tmp_path):
