@@ -5,7 +5,7 @@ to 0, with the final node replaced by s_min (the s = 0 kernel is atomic),
 and finish with a posterior-mean jump E[Y0 | x] at s_min.  Chain i draws
 all of its randomness from the counter-based stream keyed (seed, i), so a
 batch is bit-reproducible regardless of execution order or thread count.
-A run draws its batch from `rng.ChainStreams`, whose row i is stream
+A run draws its batch from `rng.chain_blocks`, whose row i is stream
 (seed, i): init first, then the step noise, whole when it fits
 _NOISE_BUDGET and otherwise in chunks of at least _STREAM_FLOATS floats
 per chain, so the run's memory does not depend on n_steps.  A step
@@ -24,6 +24,7 @@ the exact first two moments of the noised marginal at s_start.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import (DivergedError, DomainError, FactorizationError,
                      ShapeError)
 from .exact_score import _BLOCK_ENTRIES, ExactScoreModel, _sq_norms
-from .rng import ChainStreams, chain_normals, check_seed, stream
+from .rng import chain_blocks, chain_normals, check_seed, stream
 
 _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
 _INITS = ("standard_normal", "gls")
@@ -47,6 +48,13 @@ _NOISE_BUDGET = _BLOCK_ENTRIES
 # chain, 640 bytes, amortizes the call, and a narrower one would save
 # little memory and cost much time.
 _STREAM_FLOATS = 80
+
+
+def _check_count(value, name: str) -> None:
+    """DomainError unless value is an integer >= 1, not a bool."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +73,7 @@ class SamplerConfig:
         if self.init not in _INITS:
             raise DomainError(f"unknown init {self.init!r}; "
                               f"expected one of {_INITS}")
-        if self.n_steps < 1:
-            raise DomainError("n_steps must be >= 1")
+        _check_count(self.n_steps, "n_steps")
         if not 0 < self.s_min < self.s_start:
             raise DomainError("need 0 < s_min < s_start")
         check_seed(self.seed)
@@ -141,27 +148,20 @@ def _noise_steps(config: SamplerConfig) -> int:
 def _normals_shape(model: ExactScoreModel, config: SamplerConfig,
                    batch: int) -> tuple[int, int]:
     """(batch, (1 + n_noise) * d): the shape of a run's whole draw."""
-    if batch < 1:
-        raise DomainError("batch must be >= 1")
+    _check_count(batch, "batch")
     return batch, (1 + _noise_steps(config)) * model.dataset.dim
 
 
-def _step_noise(chunk: np.ndarray, streams: Optional[ChainStreams],
-                n_noise: int, k: int) -> Iterator[np.ndarray]:
-    """Each step's (batch, d) noise: the steps of the (batch, j, d) `chunk`,
-    then, while steps remain, k more at a time from `streams`.  Each chunk
-    is dropped before the next is drawn."""
-    batch, _, d = chunk.shape
-    done = 0
-    while True:
-        for j in range(chunk.shape[1]):
-            yield chunk[:, j]
-        done += chunk.shape[1]
-        if done == n_noise:
-            return
+def _step_noise(chunk: np.ndarray, blocks: Iterator[np.ndarray],
+                d: int) -> Iterator[np.ndarray]:
+    """Each step's (batch, d) noise: the steps of `chunk`, then those of
+    each of `blocks` in turn.  Each block is dropped before the next is
+    drawn."""
+    while chunk is not None:
+        for j in range(0, chunk.shape[1], d):
+            yield chunk[:, j:j + d]
         chunk = None
-        w = min(k, n_noise - done)
-        chunk = streams.draw(w * d, last=done + w == n_noise).reshape(batch, w, d)
+        chunk = next(blocks, None)
 
 
 def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
@@ -181,16 +181,15 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
     """
     d, n_noise = model.dataset.dim, _noise_steps(config)
     shape = _normals_shape(model, config, batch)
-    streams = None
     if normals is None:
         k = -(-_STREAM_FLOATS // d)
-        if n_noise <= max(_NOISE_BUDGET // (batch * d), k):
-            k = n_noise
-        first = 0 if config.init == "gls" and k < n_noise else k
-        streams = ChainStreams(config.seed, batch)
-        z = streams.draw((1 + first) * d, last=first == n_noise)
+        first = (n_noise if n_noise <= max(_NOISE_BUDGET // (batch * d), k)
+                 else 0 if config.init == "gls" else k)
+        blocks = chain_blocks(config.seed, batch, [(1 + first) * d] + [
+            min(k, n_noise - j) * d for j in range(first, n_noise, k)])
+        z = next(blocks)
     else:
-        z, k, first = np.asarray(normals, dtype=np.float64), n_noise, n_noise
+        z, blocks = np.asarray(normals, dtype=np.float64), iter(())
         if z.shape != shape:
             raise ShapeError(f"normals have shape {z.shape}, expected {shape}")
     init = z[:, :d]
@@ -199,8 +198,7 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
         # stacked mat-vec, bit-equal per row to L @ z; z @ L.T is a GEMM
         # whose rounding may depend on the batch and break the prefix property
         init = ginit.mean + np.matmul(ginit.cholesky, init[:, :, None])[:, :, 0]
-    return init, _step_noise(z[:, d:].reshape(batch, first, d), streams,
-                             n_noise, k)
+    return init, _step_noise(z[:, d:], blocks, d)
 
 
 def _check_finite(X: np.ndarray, step: int) -> None:
@@ -344,8 +342,7 @@ def late_start_sweep(model: ExactScoreModel, kind: str, n_steps: int,
     grid = np.asarray(s_start_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ShapeError("s_start_grid must be a nonempty 1D array")
-    if repeats < 1:
-        raise DomainError("repeats must be >= 1")
+    _check_count(repeats, "repeats")
     check_seed(seed)
     check_seed(seed + repeats - 1, "seed + repeats - 1")  # before any sampling
 

@@ -22,8 +22,11 @@ differ, `nan` where only one side is NaN).  It covers
 - every `ExactScoreModel` batch method, `score` and `hessian` on the
   two-point, a 3-mode mixture and an N=2048, D=64 sphere sample, at
   batches 1, 7 and 513 and four forward times;
-- `run_sampler` for each kind and init, and once at the benchmark's
-  `wide_sphere` shape, whose step noise is drawn in chunks;
+- `run_sampler` for each kind and init, once at the benchmark's
+  `wide_sphere` shape, whose step noise is drawn in chunks, and at shapes
+  either side of the rule for drawing noise whole: criterion 8's mixture
+  at B=6000 (41 SDE steps, each init), drawn in chunks, the last one
+  step wide, and a D=8 sphere sample at B=64 (100 SDE steps), drawn whole;
   `fixed_points_general`, `frechet_gaussian` and `critical_theta_cov`.
 
 Manifests are skipped: they hold wall times.  This is a script, not a
@@ -51,6 +54,7 @@ from symbreak import (EmpiricalDataset, ExactScoreModel, SamplerConfig,
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_SEEDS = (0, 3, 7)
 GMM3 = [[1.5, 0.3], [-0.6, 1.2], [-1.4, -0.7]]
+GMM4 = [[2.4, 0.6], [0.9, -0.4], [-1.6, 0.8], [-0.4, -2.0]]  # criterion 8's
 
 
 def digest(*parts) -> str:
@@ -250,6 +254,17 @@ def api_outputs():
     run = run_sampler(ExactScoreModel(data["sphere64"], schedule), cfg, 512,
                       keep_trajectories=True)
     yield "api/run_sampler/wide_sphere", _run_parts(run)
+    gmm4 = ExactScoreModel(gaussian_mixture(GMM4, 0.1, 16, seed=7), schedule)
+    for init in ("standard_normal", "gls"):
+        cfg = SamplerConfig(kind="stochastic_sde", n_steps=41, s_start=1.0,
+                            init=init, seed=11)
+        run = run_sampler(gmm4, cfg, 6000, keep_trajectories=True)
+        yield f"api/run_sampler/gmm4_B6000/{init}", _run_parts(run)
+    cfg = SamplerConfig(kind="stochastic_sde", n_steps=100, s_start=1.0,
+                        seed=11)
+    run = run_sampler(ExactScoreModel(hypersphere(8, 1.0, 256, seed=4),
+                                      schedule), cfg, 64, keep_trajectories=True)
+    yield "api/run_sampler/sphere8_B64", _run_parts(run)
 
     fixed = {
         "two_point": (data["two_point"], (0.5, 0.8, 0.95)),

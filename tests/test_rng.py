@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbreak.errors import DomainError
-from symbreak.rng import ChainStreams, chain_normals, stream
+from symbreak.rng import chain_blocks, chain_normals, stream
 
 
 def test_same_key_reproduces_bits():
@@ -102,18 +102,17 @@ def test_chain_normals_rejects_negative_seed():
 def test_chain_streams_blocks_equal_one_draw(seed, chains, widths):
     # each row resumes its stream where its previous block stopped, also
     # mid-way through Philox's four-word output buffer
-    streams = ChainStreams(seed, chains)
-    blocks = [streams.draw(w, last=j == len(widths) - 1)
-              for j, w in enumerate(widths)]
+    blocks = list(chain_blocks(seed, chains, widths))
     assert all(b.shape == (chains, w) for b, w in zip(blocks, widths))
     assert np.array_equal(np.hstack(blocks), chain_normals(seed, chains, sum(widths)))
 
 
 def test_chain_streams_close_after_the_last_draw():
-    streams = ChainStreams(3, 4)
-    streams.draw(5)
-    streams.draw(2, last=True)
+    blocks = chain_blocks(3, 4, [5, 2])
+    assert next(blocks).shape == (4, 5)
+    assert next(blocks).shape == (4, 2)
+    with pytest.raises(StopIteration):
+        next(blocks)
+    blocks = chain_blocks(2 ** 64, 2, [1])  # a generator checks its seed lazily
     with pytest.raises(DomainError):
-        streams.draw(1)
-    with pytest.raises(DomainError):
-        ChainStreams(2 ** 64, 2)
+        next(blocks)

@@ -31,6 +31,28 @@ def test_config_validation():
             SamplerConfig(kind="ddim", n_steps=10, s_start=1.0, seed=seed)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(3.0), True, False, "3"],
+                         ids=["2.5", "3.0", "float64", "True", "False", "str"])
+def test_counts_must_be_integers(two_point_model, bad):
+    # a float, bool or string count fails with DomainError, not numpy's
+    # TypeError from the draw
+    metric = lambda finals: 0.0
+    with pytest.raises(DomainError):
+        SamplerConfig(kind="ddim", n_steps=bad, s_start=1.0)
+    cfg = SamplerConfig(kind="stochastic_sde", n_steps=5, s_start=1.0)
+    with pytest.raises(DomainError):
+        run_sampler(two_point_model, cfg, bad)
+    for count in ("batch", "repeats"):
+        with pytest.raises(DomainError):
+            late_start_sweep(two_point_model, "stochastic_sde", 5, [0.5],
+                             metric, **{count: bad})
+    cfg = SamplerConfig(kind="stochastic_sde", n_steps=np.int64(5), s_start=1.0)
+    run = run_sampler(two_point_model, cfg, np.int64(3))
+    assert np.array_equal(run.finals, run_sampler(
+        two_point_model, SamplerConfig(kind="stochastic_sde", n_steps=5,
+                                       s_start=1.0), 3).finals)
+
+
 def test_kind_dispatch_is_strict(two_point_model):
     cfg = SamplerConfig(kind="ddim", n_steps=5, s_start=1.0)
     with pytest.raises(DomainError):
@@ -399,6 +421,18 @@ def test_given_normals_reproduce_the_run(gmm_model, kind):
             run_sampler(gmm_model, cfg, 5, normals=bad)
 
 
+def _spy_blocks(monkeypatch) -> list:
+    """The widths of each `chain_blocks` call a sampler makes, in order."""
+    drawn, real = [], samplers.chain_blocks
+
+    def spy(seed, chains, widths):
+        drawn.append(list(widths))
+        return real(seed, chains, drawn[-1])
+
+    monkeypatch.setattr(samplers, "chain_blocks", spy)
+    return drawn
+
+
 @pytest.fixture(scope="module")
 def sphere16_model(schedule):
     return ExactScoreModel(hypersphere(16, 1.0, 96, seed=4), schedule)
@@ -414,6 +448,7 @@ def test_noise_chunks_do_not_change_the_run(request, monkeypatch, model_name):
     d, batch, n_steps = model.dataset.dim, 5, 7
     budgets = (1, batch * d, 3 * batch * d, samplers._NOISE_BUDGET)
     monkeypatch.setattr(samplers, "_STREAM_FLOATS", 1)
+    drawn = _spy_blocks(monkeypatch)
     for kind in ("stochastic_sde", "ancestral_ddpm", "ddim"):
         for init in ("standard_normal", "gls"):
             cfg = SamplerConfig(kind=kind, n_steps=n_steps, s_start=0.6,
@@ -427,6 +462,8 @@ def test_noise_chunks_do_not_change_the_run(request, monkeypatch, model_name):
                 assert np.array_equal(got.finals, want.finals), (kind, init, budget)
                 assert np.array_equal(got.trajectories, want.trajectories), (
                     kind, init, budget)
+                if budget == 1 and kind != "ddim":  # one step per chunk
+                    assert drawn[-1][-n_steps + 1:] == [d] * (n_steps - 1)
 
 
 @pytest.mark.parametrize("n_steps, widths", [
@@ -437,21 +474,14 @@ def test_chunks_are_at_least_a_stream_wide(gmm_model, monkeypatch, n_steps,
     # a budget of one step per chunk for 5 chains in D=2 still gives each
     # chunk 40 steps, 80 floats per chain; a chunked gls run draws its init
     # alone, since the init normals are dead once transformed
-    drawn = []
-
-    class Counting(samplers.ChainStreams):
-        def draw(self, width, **kw):
-            drawn.append(width)
-            return super().draw(width, **kw)
-
-    monkeypatch.setattr(samplers, "ChainStreams", Counting)
+    drawn = _spy_blocks(monkeypatch)
     monkeypatch.setattr(samplers, "_NOISE_BUDGET", 10)
     for init, want in widths.items():
         drawn.clear()
         cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=n_steps,
                             s_start=0.6, init=init, seed=3)
         run_sampler(gmm_model, cfg, 5)
-        assert drawn == want, init
+        assert drawn == [want], init
 
 
 def _run_peak(model, cfg, batch):
