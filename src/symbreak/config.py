@@ -39,7 +39,7 @@ import numbers
 
 import yaml
 
-from . import datasets
+from . import datasets, rng
 from .errors import ConfigError, DomainError
 from .exact_score import ExactScoreModel
 from .samplers import _INITS, _KINDS, SamplerConfig
@@ -150,6 +150,13 @@ def _num(sec: dict, section: str, key: str, default=None, *, lo=None, hi=None,
     return v
 
 
+def _seed(sec: dict, section: str) -> int:
+    try:  # the one seed rule, as a ConfigError naming the key
+        return rng.check_seed(sec.get("seed", 0), f"{section}.seed")
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _choice(sec: dict, section: str, key: str, options, default=None,
             required=False):
     if key not in sec:
@@ -187,6 +194,7 @@ def parse_time_value(value, schedule: VpSchedule, field: str) -> float:
 def build_dataset(cfg: dict) -> datasets.EmpiricalDataset:
     sec = _section(cfg, "dataset", required=True)
     kind = sec["kind"]  # checked by _section
+    seed = _seed(sec, "dataset")  # every kind's, though only two kinds draw
     if kind == "two_point_1d":
         ds = datasets.two_point_1d()
     elif kind == "hypersphere":
@@ -194,7 +202,7 @@ def build_dataset(cfg: dict) -> datasets.EmpiricalDataset:
             d=_num(sec, "dataset", "d", required=True, integer=True, lo=1),
             r=_num(sec, "dataset", "r", 1.0, lo=1e-12),
             n=_num(sec, "dataset", "n", required=True, integer=True, lo=1),
-            seed=_num(sec, "dataset", "seed", 0, integer=True, lo=0))
+            seed=seed)
     elif kind == "gaussian_mixture":
         centers = sec.get("centers")
         if (not isinstance(centers, list) or not centers
@@ -206,7 +214,7 @@ def build_dataset(cfg: dict) -> datasets.EmpiricalDataset:
             std=_num(sec, "dataset", "std", required=True, lo=0.0),
             n_per_mode=_num(sec, "dataset", "n_per_mode", required=True,
                             integer=True, lo=1),
-            seed=_num(sec, "dataset", "seed", 0, integer=True, lo=0))
+            seed=seed)
     else:
         path = sec.get("path")
         if not isinstance(path, str) or not path:
@@ -239,7 +247,7 @@ def build_sampler(cfg: dict, schedule: VpSchedule
         s_start=s_start,
         init=_choice(sec, "sampler", "init", _INITS, "standard_normal"),
         s_min=_num(sec, "sampler", "s_min", 1e-4, lo=1e-12),
-        seed=_num(sec, "sampler", "seed", 0, integer=True, lo=0))
+        seed=_seed(sec, "sampler"))
     batch = _num(sec, "sampler", "batch", 1000, integer=True, lo=1)
     keep = sec.get("trajectories", False)
     if not isinstance(keep, bool):

@@ -2,15 +2,24 @@
 
 All samplers walk a grid of forward times equally spaced from s_start down
 to 0, with the final node replaced by s_min (the s = 0 kernel is atomic),
-and finish with a posterior-mean jump E[Y0 | x] at s_min.  Chain i draws
-all of its randomness from the counter-based stream keyed (seed, i), so a
-batch is bit-reproducible regardless of execution order or thread count.
-A run draws its batch from `rng.chain_blocks`, whose row i is stream
-(seed, i): init first, then the step noise, whole when it fits
+and finish with a posterior-mean jump E[Y0 | x] at s_min.  With the exact
+score (theta E[Y0 | x] - x) / var, every kind's step is affine in the state
+and the denoiser output, x' = a x + b E[Y0 | x] + c z, with theta and
+var = 1 - theta^2 at s_i, theta' and var' at s_{i+1}, and q = var' / var:
+- Euler-Maruyama on the reverse SDE, h = beta(s_i) (s_i - s_{i+1}):
+  a = 1 + h (1/2 - 1/var), b = h theta / var, c = sqrt(h);
+- the DDPM posterior draw (Ho et al., 2020), alpha = theta^2 / theta'^2:
+  a = sqrt(alpha) q, b = theta' (1 - alpha) / var, c = sqrt((1 - alpha) q);
+- DDIM at eta = 0 (Song et al., 2021): a = sqrt(q), b = theta' - theta a.
+`_step_coefficients` computes them for all steps once per run.  A step turns
+the kernel's output into the next state in place, so a run holds the state,
+one posterior mean, one temporary, the kernel's block and its noise.
+Chain i draws all of its randomness from the counter-based stream keyed
+(seed, i), so a batch is bit-reproducible regardless of execution order or
+thread count.  A run draws its batch from `rng.chain_blocks`, whose row i
+is stream (seed, i): init first, then the step noise, whole when it fits
 _NOISE_BUDGET and otherwise in chunks of at least _STREAM_FLOATS floats
-per chain, so the run's memory does not depend on n_steps.  A step
-updates the kernel's output in place, so a run holds the state, one
-posterior mean, one temporary, the kernel's block and its noise.
+per chain, so the run's memory does not depend on n_steps.
 `late_start_sweep` draws repeat r's whole batch once with
 `rng.chain_normals`, read-only, and every grid point of that repeat reuses
 it through `run_sampler(..., normals=...)`; row i is still stream
@@ -35,18 +44,17 @@ from .errors import (DivergedError, DomainError, FactorizationError,
                      ShapeError)
 from .exact_score import _BLOCK_ENTRIES, ExactScoreModel, _sq_norms
 from .rng import chain_blocks, chain_normals, check_seed, stream
+from .schedule import VpSchedule
 
 _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
 _INITS = ("standard_normal", "gls")
 KNEE_MIN_POINTS = 5  # fewest grid points estimate_knee accepts
-# A run draws its step noise in one piece when that is at most the kernel's
-# 1 MB budget of floats, or at most ceil(_STREAM_FLOATS / d) steps; a run
-# with more noise draws it in chunks of ceil(_STREAM_FLOATS / d) steps.
+# A run draws its step noise whole when that is at most the kernel's 1 MB
+# budget of floats or ceil(_STREAM_FLOATS / d) steps, else in such chunks.
 _NOISE_BUDGET = _BLOCK_ENTRIES
-# A chunked run keeps one bare Philox per chain, about 385 bytes each, and
-# pays a Python call per chain per chunk: a chunk of this many floats per
-# chain, 640 bytes, amortizes the call, and a narrower one would save
-# little memory and cost much time.
+# A chunked run keeps one bare Philox per chain, about 385 bytes, and pays a
+# Python call per chain per chunk, which a chunk of this many floats (640
+# bytes) amortizes; a narrower one would save little memory for much time.
 _STREAM_FLOATS = 80
 
 
@@ -74,6 +82,10 @@ class SamplerConfig:
             raise DomainError(f"unknown init {self.init!r}; "
                               f"expected one of {_INITS}")
         _check_count(self.n_steps, "n_steps")
+        for name, v in (("s_start", self.s_start), ("s_min", self.s_min)):
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not abs(v) < math.inf):  # NaN fails, a huge int passes
+                raise DomainError(f"{name} must be a finite real number, got {v!r}")
         if not 0 < self.s_min < self.s_start:
             raise DomainError("need 0 < s_min < s_start")
         check_seed(self.seed)
@@ -140,16 +152,11 @@ def _build_grid(model: ExactScoreModel, config: SamplerConfig) -> np.ndarray:
     return grid
 
 
-def _noise_steps(config: SamplerConfig) -> int:
-    """Steps that draw noise: all of them for the stochastic kinds, none for ddim."""
-    return config.n_steps if config.kind != "ddim" else 0
-
-
 def _normals_shape(model: ExactScoreModel, config: SamplerConfig,
                    batch: int) -> tuple[int, int]:
-    """(batch, (1 + n_noise) * d): the shape of a run's whole draw."""
+    """(batch, (1 + n_noise) * d), a run's whole draw; ddim's n_noise is 0."""
     _check_count(batch, "batch")
-    return batch, (1 + _noise_steps(config)) * model.dataset.dim
+    return batch, (1 + config.n_steps * (config.kind != "ddim")) * model.dataset.dim
 
 
 def _step_noise(chunk: np.ndarray, blocks: Iterator[np.ndarray],
@@ -171,16 +178,14 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
     (seed, chain), or from `normals` once its shape is checked.
 
     Chain i's init is the first d normals of its stream and its step noise
-    the next n_noise * d, exactly as one Generator per chain would draw them.
-    A run draws the init and k steps of noise, then k steps at a time as
-    they are used, k as at _NOISE_BUDGET; the streams resume where they
-    stopped, so the bytes do not depend on k.  A chunked gls run draws its
-    init alone, as a gls init is a new array; a standard-normal init is a
-    view of the draw.  Given `normals` are never written to, so they may be
-    a read-only shared draw.
+    the next n_noise * d.  A run draws the init and k steps of noise, then
+    k steps at a time as they are used, k as at _NOISE_BUDGET; the streams
+    resume where they stopped, so the bytes do not depend on k.  A chunked
+    gls init, a new array, is drawn alone; a standard-normal init is a view
+    of the draw.  Given `normals` are only read, so they may be shared.
     """
-    d, n_noise = model.dataset.dim, _noise_steps(config)
-    shape = _normals_shape(model, config, batch)
+    d, shape = model.dataset.dim, _normals_shape(model, config, batch)
+    n_noise = shape[1] // d - 1
     if normals is None:
         k = -(-_STREAM_FLOATS // d)
         first = (n_noise if n_noise <= max(_NOISE_BUDGET // (batch * d), k)
@@ -202,63 +207,54 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
 
 
 def _check_finite(X: np.ndarray, step: int) -> None:
-    # The posterior kernel's shifted logits stay finite far past any sane
-    # state, so a row whose squared norm overflows counts as diverged too;
-    # a non-finite entry makes its row's squared norm non-finite as well.
-    # No entry above sqrt(max / D) / 2 clears every row at once, 3-6x faster
-    # than the norms at D = 2; a NaN or inf fails the comparison.
+    # A row whose squared norm overflows counts as diverged, though the
+    # kernel's shifted logits stay finite far past it.  No entry above
+    # sqrt(max / D) / 2 clears every row at once, 3-6x faster than the norms
+    # at D = 2; a NaN or inf fails the comparison and makes its norm non-finite.
     if max(X.max(), -X.min()) < 0.5 * math.sqrt(sys.float_info.max / X.shape[1]):
         return
     if not np.all(np.isfinite(_sq_norms(X))):
         raise DivergedError(f"sampler state became non-finite at step {step}")
 
 
+def _step_coefficients(kind: str, grid: np.ndarray, schedule: VpSchedule
+                       ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Every step's a, b and c by `kind`'s rule in the module docstring;
+    c is None for ddim, which draws no noise."""
+    thetas = schedule.theta_at(grid)  # bit-equal to one scalar call per node
+    th, th_next = thetas[:-1], thetas[1:]
+    var = 1.0 - th * th
+    q = (1.0 - th_next * th_next) / var
+    if kind == "stochastic_sde":
+        h = schedule.beta_at(grid[:-1]) * (grid[:-1] - grid[1:])
+        return 1.0 + h * (0.5 - 1.0 / var), h * th / var, np.sqrt(h)
+    if kind == "ancestral_ddpm":
+        alpha = th * th / (th_next * th_next)
+        return (np.sqrt(alpha) * q, th_next * (1.0 - alpha) / var,
+                np.sqrt((1.0 - alpha) * q))
+    a = np.sqrt(q)
+    return a, th_next - th * a, None
+
+
 def _run(model: ExactScoreModel, config: SamplerConfig, batch: int,
          keep_trajectories: bool, normals: Optional[np.ndarray]) -> SamplerRun:
+    """Every kind's steps as x' = a x + b E[Y0 | x] + c z, one kernel pass
+    each, updated in place; then the posterior-mean jump at s_min."""
     grid = _build_grid(model, config)
     X, noise = _draw_chains(model, config, batch, normals)
-    # bit-equal to one scalar call per node, without one validation per call
-    thetas, betas = model.schedule.theta_at(grid), model.schedule.beta_at(grid)
+    a, b, c = _step_coefficients(config.kind, grid, model.schedule)
     traj = None
     if keep_trajectories:
         traj = np.empty((batch, config.n_steps + 1, model.dataset.dim))
         traj[:, 0] = X
     for i in range(config.n_steps):
-        s, s_next = float(grid[i]), float(grid[i + 1])
-        # a step holds the state, the posterior mean and one temporary: it
-        # updates the kernel's output in place, in the textbook expression's
-        # order of operations, so every byte is the same.  Each step's noise
-        # is used inline, so no name holds its chunk.
-        if config.kind == "stochastic_sde":
-            beta = betas[i]
-            dt = s - s_next
-            x_next = model.score_batch(X, s)
-            x_next += 0.5 * X
-            x_next *= beta
-            x_next *= dt
-            x_next += X
-            x_next += np.sqrt(beta * dt) * next(noise)
-        else:
-            th, th_next = thetas[i], thetas[i + 1]
-            x_next = model.posterior_mean_batch(X, s)
-            if config.kind == "ancestral_ddpm":
-                abar, abar_next = th * th, th_next * th_next
-                alpha_step = abar / abar_next
-                beta_step = 1.0 - alpha_step
-                x_next *= np.sqrt(abar_next) * beta_step
-                tmp = X * (np.sqrt(alpha_step) * (1.0 - abar_next))
-                x_next += tmp
-                x_next /= 1.0 - abar
-                std = np.sqrt(beta_step * (1.0 - abar_next) / (1.0 - abar))
-                x_next += np.multiply(next(noise), std, out=tmp)
-            else:  # ddim: eps = (X - th x0) / sqrt(1 - th^2)
-                tmp = x_next * th
-                np.subtract(X, tmp, out=tmp)
-                tmp /= np.sqrt(1.0 - th * th)
-                x_next *= th_next
-                tmp *= np.sqrt(1.0 - th_next * th_next)
-                x_next += tmp
-            del tmp  # held into the next step's kernel pass, it adds to the peak
+        x_next = model.posterior_mean_batch(X, float(grid[i]))
+        x_next *= b[i]
+        tmp = X * a[i]
+        x_next += tmp
+        if c is not None:
+            x_next += np.multiply(next(noise), c[i], out=tmp)
+        del tmp  # held into the next step's kernel pass, it adds to the peak
         X = x_next
         _check_finite(X, i)
         if traj is not None:
@@ -270,10 +266,9 @@ def _run(model: ExactScoreModel, config: SamplerConfig, batch: int,
 def sample_stochastic(model: ExactScoreModel, config: SamplerConfig,
                       batch: int, *, keep_trajectories: bool = False,
                       normals: Optional[np.ndarray] = None) -> SamplerRun:
-    """Euler-Maruyama reverse SDE, or the ancestral transition-kernel variant.
-
-    `normals` replaces the run's own draw, as in `run_sampler`.
-    """
+    """Euler-Maruyama on the reverse SDE, or the DDPM posterior draw: the
+    affine step of `_run` with the noise term c z.  `normals` replaces the
+    run's own draw, as in `run_sampler`."""
     if config.kind not in ("stochastic_sde", "ancestral_ddpm"):
         raise DomainError("sample_stochastic handles the stochastic kinds; "
                           "use sample_ddim for ddim")
@@ -284,9 +279,7 @@ def sample_ddim(model: ExactScoreModel, config: SamplerConfig,
                 batch: int, *, keep_trajectories: bool = False,
                 normals: Optional[np.ndarray] = None) -> SamplerRun:
     """Deterministic probability-flow stepper (eta = 0); random only in init.
-
-    `normals` replaces the run's own draw, as in `run_sampler`.
-    """
+    `normals` replaces the run's own draw, as in `run_sampler`."""
     if config.kind != "ddim":
         raise DomainError("sample_ddim requires kind='ddim'")
     return _run(model, config, batch, keep_trajectories, normals)
@@ -301,8 +294,7 @@ def run_sampler(model: ExactScoreModel, config: SamplerConfig, batch: int, *,
     (1 + n_noise) * d) array, n_noise = n_steps for the stochastic kinds and
     0 for ddim, whose row i is chain i's init normals then its step noise.
     `rng.chain_normals(config.seed, ...)` of that shape reproduces the run
-    bit for bit.  It is only read, never written.  A wrong shape raises
-    ShapeError.
+    bit for bit.  It is only read.  A wrong shape raises ShapeError.
     """
     runner = sample_ddim if config.kind == "ddim" else sample_stochastic
     return runner(model, config, batch, keep_trajectories=keep_trajectories,
@@ -333,11 +325,10 @@ def late_start_sweep(model: ExactScoreModel, kind: str, n_steps: int,
     the grid, independent across repeats).  Its chain normals are drawn once,
     whole and read-only, and every grid point of the repeat reuses them, so
     the sweep holds (batch, (1 + n_noise) * d) floats however long the run
-    is, where a lone run holds a bounded chunk; row i is
-    still stream (seed+r, i), so each value equals
-    `metric(run_sampler(...).finals)` of that grid point's own run.  Every
-    grid point's config and time grid, and the batch, are checked before
-    anything is sampled.
+    is, where a lone run holds a bounded chunk; row i is still stream
+    (seed+r, i), so each value equals `metric(run_sampler(...).finals)` of
+    that grid point's own run.  Every grid point's config and time grid, and
+    the batch, are checked before anything is sampled.
     """
     grid = np.asarray(s_start_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:

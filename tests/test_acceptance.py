@@ -293,11 +293,35 @@ def test_criterion_08_gls_dominance():
     assert elapsed < 300.0, f"took {elapsed:.2f}s"
 
 
-def test_criterion_09_potential_scan_morphology():
-    t0 = time.perf_counter()
-    model = ExactScoreModel(EmpiricalDataset(
+def _criterion_09_model():
+    """The {-1, +1} pair on the first axis of the plane."""
+    return ExactScoreModel(EmpiricalDataset(
         np.array([[-1.0, 0.0], [1.0, 0.0]]), radius=1.0, centered=True),
         SCHED)
+
+
+def _sampled_anchor_counts(model, seed):
+    """Criterion 9's sampled-anchor clause at one seed: the minima counts of
+    the potential scan at theta 0.5, 0.96 and 0.98 between the two chains
+    `cli._anchor_pair` picks from an 8-chain, 400-step SDE run, and whether
+    they are [1, >=2, >=2].  tests/anchor_seeds.py runs it over many seeds."""
+    times = [_t_of_theta(th) for th in (0.5, 0.96, 0.98)]
+    run = run_sampler(model, SamplerConfig(
+        kind="stochastic_sde", n_steps=400, s_start=1.0, seed=seed), 8,
+        keep_trajectories=True)
+    t_nodes = SCHED.horizon - run.s_grid
+    idx = [int(np.argmin(np.abs(t_nodes - t))) for t in times]
+    ia, ib = _anchor_pair(model, run)
+    scan = potential_scan(model, run.trajectories[ia, idx],
+                          run.trajectories[ib, idx], default_alpha_grid(141),
+                          t_nodes[idx])
+    counts = [count_local_minima(row, 3) for row in scan.values]
+    return counts, counts[0] == 1 and counts[1] >= 2 and counts[2] >= 2
+
+
+def test_criterion_09_potential_scan_morphology():
+    t0 = time.perf_counter()
+    model = _criterion_09_model()
     alpha = default_alpha_grid(141)
     failures = []
 
@@ -318,19 +342,9 @@ def test_criterion_09_potential_scan_morphology():
                f"scan count {n_min}")
 
     # sampled-trajectory anchors, five fixed seeds
-    times = [_t_of_theta(th) for th in (0.5, 0.96, 0.98)]
     for seed in range(5):
-        run = run_sampler(model, SamplerConfig(
-            kind="stochastic_sde", n_steps=400, s_start=1.0, seed=seed), 8,
-            keep_trajectories=True)
-        t_nodes = SCHED.horizon - run.s_grid
-        idx = [int(np.argmin(np.abs(t_nodes - t))) for t in times]
-        ia, ib = _anchor_pair(model, run)
-        scan = potential_scan(model, run.trajectories[ia, idx],
-                              run.trajectories[ib, idx], alpha, t_nodes[idx])
-        counts = [count_local_minima(row, 3) for row in scan.values]
-        _check(failures, counts[0] == 1 and counts[1] >= 2 and counts[2] >= 2,
-               f"seed {seed}: sampled-anchor minima counts {counts}")
+        counts, ok = _sampled_anchor_counts(model, seed)
+        _check(failures, ok, f"seed {seed}: sampled-anchor minima counts {counts}")
 
     # reconstruction accuracy and second-order convergence
     for theta in (0.3, 0.5, 0.8):

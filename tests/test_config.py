@@ -212,6 +212,42 @@ def test_build_sampler_rejects_bad_fields():
                                    "s_min": 10 ** 400}}, VpSchedule())
 
 
+BAD_SEEDS = pytest.mark.parametrize(
+    "seed", [-1, 2 ** 64, [1], 1.0, True],
+    ids=["negative", "2**64", "list", "float", "bool"])
+SEED_RULE = r"must be an integer in \[0, 2\*\*64\)"
+
+
+@BAD_SEEDS
+def test_sampler_seed_follows_the_seed_rule(seed):
+    # rng.check_seed's rule, as a ConfigError that names the key
+    with pytest.raises(ConfigError, match=r"^sampler\.seed " + SEED_RULE):
+        build_sampler({"sampler": {"kind": "ddim", "n_steps": 5,
+                                   "seed": seed}}, VpSchedule())
+    config, _, _ = build_sampler({"sampler": {"kind": "ddim", "n_steps": 5,
+                                              "seed": 2 ** 64 - 1}},
+                                 VpSchedule())
+    assert config.seed == 2 ** 64 - 1
+
+
+@BAD_SEEDS
+@pytest.mark.parametrize("kind", ["two_point_1d", "hypersphere",
+                                  "gaussian_mixture", "csv"])
+def test_dataset_seed_follows_the_seed_rule_for_every_kind(tmp_path, kind,
+                                                           seed):
+    # a kind that draws nothing still has its seed checked
+    data = tmp_path / "pts.csv"
+    data.write_text("0.5,0.25\n-0.5,-0.25\n")
+    sec = {"kind": kind, **{
+        "two_point_1d": {}, "hypersphere": {"d": 2, "n": 4},
+        "gaussian_mixture": {"centers": [[1.0, 0.0]], "std": 0.1,
+                             "n_per_mode": 4},
+        "csv": {"path": str(data)}}[kind]}
+    with pytest.raises(ConfigError, match=r"^dataset\.seed " + SEED_RULE):
+        build_dataset({"dataset": {**sec, "seed": seed}})
+    build_dataset({"dataset": {**sec, "seed": 2 ** 64 - 1}})
+
+
 def test_build_sweep_parses_mixed_notations():
     cfg = {"sweep": {"s_start_grid": [100, 0.2, 300], "repeats": 4}}
     grid, repeats = build_sweep(cfg, VpSchedule())

@@ -53,6 +53,17 @@ def test_counts_must_be_integers(two_point_model, bad):
                                        s_start=1.0), 3).finals)
 
 
+@pytest.mark.parametrize("field", ["s_start", "s_min"])
+@pytest.mark.parametrize("bad", ["1", True, None, np.nan, np.inf],
+                         ids=["str", "True", "None", "nan", "inf"])
+def test_times_must_be_finite_reals(field, bad):
+    # each fails at construction with a DomainError that names the field
+    times = {"s_start": 1.0, "s_min": 1e-4, field: bad}
+    with pytest.raises(DomainError, match=f"^{field} must be a finite real"):
+        SamplerConfig(kind="ddim", n_steps=5, **times)
+    SamplerConfig(kind="ddim", n_steps=5, s_start=1, s_min=np.float64(1e-4))
+
+
 def test_kind_dispatch_is_strict(two_point_model):
     cfg = SamplerConfig(kind="ddim", n_steps=5, s_start=1.0)
     with pytest.raises(DomainError):
@@ -538,35 +549,40 @@ def test_fast_ddim_run_memory_is_bounded(schedule):
 @pytest.mark.parametrize("init", ["standard_normal", "gls"])
 @pytest.mark.parametrize("model_name", ["two_point_model", "gmm_model"])
 def test_every_step_follows_the_textbook_rule(request, kind, init, model_name):
+    # the 100-step grid from 1.0 ends in a stiff step into s_min, beta*dt/var
+    # about 1.5; the cases loop here so that the test ids stay as they were
     model = request.getfixturevalue(model_name)
     sched, d, batch = model.schedule, model.dataset.dim, 7
-    cfg = SamplerConfig(kind=kind, n_steps=3, s_start=0.8, init=init, seed=3)
-    z = chain_normals(5, batch, (1 + (3 if kind != "ddim" else 0)) * d)
-    run = run_sampler(model, cfg, batch, keep_trajectories=True, normals=z)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    start = z[:, :d]
-    if init == "gls":
-        g = gls_init(model, cfg.s_start)
-        start = g.mean + start @ g.cholesky.T
-    assert close(run.trajectories[:, 0], start)
-    for i, (s, s_next) in enumerate(zip(run.s_grid[:-1], run.s_grid[1:])):
-        x, noise = run.trajectories[:, i], z[:, d * (i + 1):d * (i + 2)]
-        abar, abar_next = sched.theta_at(s) ** 2, sched.theta_at(s_next) ** 2
-        if kind == "stochastic_sde":
-            want = oracles.euler_maruyama_step(
-                x, model.score_batch(x, s), sched.beta_at(s), s - s_next, noise)
-        elif kind == "ancestral_ddpm":
-            want = oracles.ddpm_posterior_step(
-                x, model.posterior_mean_batch(x, s), abar, abar_next, noise)
-        else:
-            want = oracles.ddim_step(x, model.posterior_mean_batch(x, s), abar,
-                                     abar_next)
-        assert close(run.trajectories[:, i + 1], want), (i, s)
-    assert close(run.finals, model.posterior_mean_batch(
-        run.trajectories[:, -1], run.s_grid[-1]))
+    for n_steps, s_start in ((3, 0.8), (100, 1.0)):
+        cfg = SamplerConfig(kind=kind, n_steps=n_steps, s_start=s_start,
+                            init=init, seed=3)
+        z = chain_normals(5, batch, (1 + (n_steps if kind != "ddim" else 0)) * d)
+        run = run_sampler(model, cfg, batch, keep_trajectories=True, normals=z)
+        start = z[:, :d]
+        if init == "gls":
+            g = gls_init(model, cfg.s_start)
+            start = g.mean + start @ g.cholesky.T
+        assert close(run.trajectories[:, 0], start)
+        for i, (s, s_next) in enumerate(zip(run.s_grid[:-1], run.s_grid[1:])):
+            x, noise = run.trajectories[:, i], z[:, d * (i + 1):d * (i + 2)]
+            abar, abar_next = sched.theta_at(s) ** 2, sched.theta_at(s_next) ** 2
+            if kind == "stochastic_sde":
+                want = oracles.euler_maruyama_step(
+                    x, model.score_batch(x, s), sched.beta_at(s), s - s_next,
+                    noise)
+            elif kind == "ancestral_ddpm":
+                want = oracles.ddpm_posterior_step(
+                    x, model.posterior_mean_batch(x, s), abar, abar_next, noise)
+            else:
+                want = oracles.ddim_step(x, model.posterior_mean_batch(x, s),
+                                         abar, abar_next)
+            assert close(run.trajectories[:, i + 1], want), (n_steps, i, s)
+        assert close(run.finals, model.posterior_mean_batch(
+            run.trajectories[:, -1], run.s_grid[-1]))
 
 
 def test_knee_flat_then_quadratic():
