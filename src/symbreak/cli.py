@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -32,6 +33,13 @@ def _write_json(path: Path, obj) -> None:
     # default=str writes YAML dates and the like as the config hash sees them
     text = json.dumps(obj, indent=2, sort_keys=True, default=str)
     path.write_text(text + "\n")
+
+
+def _grid_text(g) -> str:
+    """g at 6 significant digits where that reads back as g, else the
+    shortest text that does, so a table's header keeps its grid exactly."""
+    text = f"{g:.6g}"
+    return text if float(text) == g else repr(float(g))
 
 
 def _knee_report(grid, curve) -> dict:
@@ -85,20 +93,18 @@ def cmd_bifurcate(cfg: dict, out: Path) -> list[str]:
 
 
 def _trajectory_blocks(trajectories: np.ndarray, s_grid: np.ndarray):
-    """One (batch, 3 + D) block per grid node: step, s, chain, x...
+    """One (heads, states) pair per grid node, for write_csv: the node's
+    (batch, D) states, each row headed by its fixed text `step,s,chain,`.
 
-    The block is reused from node to node, so each must be written before
-    the next is drawn.  step and chain are floats, which write_csv prints
-    as the integers they hold.
+    step and s are formatted once per node and each chain's number once
+    per run, the bytes "%.17g" gives them, so only the D state cells of a
+    row are formatted.  The heads and states of a node are dropped once
+    the next node's are drawn, which bounds what the writer holds.
     """
-    batch, _, dim = trajectories.shape
-    block = np.empty((batch, 3 + dim))
-    block[:, 2] = np.arange(batch)
+    chains = [f"{i}," for i in range(trajectories.shape[0])]
     for k, s in enumerate(s_grid):
-        block[:, 0] = k
-        block[:, 1] = s
-        block[:, 3:] = trajectories[:, k]
-        yield block
+        node = f"{k},{float(s):.17g},"
+        yield [node + chain for chain in chains], trajectories[:, k]
 
 
 def cmd_sample(cfg: dict, out: Path) -> list[str]:
@@ -134,7 +140,7 @@ def cmd_sweep(cfg: dict, out: Path) -> list[str]:
     label = cfg.get("dataset", {}).get("kind", "dataset")
     mean = result.mean()
     datasets.write_csv(out / "sweep_table.csv", [[label, *mean]],
-                       header=["dataset"] + [f"s={g:.6g}" for g in grid])
+                       header=["dataset"] + [f"s={_grid_text(g)}" for g in grid])
     datasets.write_csv(out / "sweep_runs.csv",
                        ([g, r, v] for r, row in enumerate(result.values)
                         for g, v in zip(grid, row)),
@@ -215,7 +221,10 @@ def _read_sweep_table(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return grid, curve
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="symbreak",
         description="Exact-score diffusion experiments over finite datasets.")

@@ -10,7 +10,9 @@ on them.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -141,26 +143,39 @@ def write_csv(path, rows, header=()) -> None:
     included) at 17 significant digits so they read back exactly, every
     other cell as the csv module writes it.
 
-    `rows` is a 2-D float64 array, or an iterable whose items are rows or
-    such arrays (numeric blocks).  A block is formatted _CSV_CHUNK_ROWS rows
-    at a time by one "%.17g" line template, the same bytes as the per-cell
-    rule, so an integer-valued float prints as an integer (exact below
-    1e17) and the text held at once stays bounded.
+    `rows` is a 2-D float64 array, or an iterable whose items are rows,
+    such arrays (numeric blocks), or `(heads, block)` pairs: a block whose
+    row r starts with the fixed text `heads[r]`, written as is before the
+    row's cells (so it ends in a comma).  A block is formatted
+    _CSV_CHUNK_ROWS rows at a time by one "%.17g" line template, the same
+    bytes as the per-cell rule, so an integer-valued float prints as an
+    integer (exact below 1e17) and the text held at once stays bounded.
+    Cells that repeat over many rows can go in the heads, formatted once.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header:
             writer.writerow(header)
         for item in (rows,) if _is_block(rows) else rows:
-            if not _is_block(item):
+            heads = None
+            if isinstance(item, tuple) and len(item) == 2 and _is_block(item[1]):
+                heads, item = item
+            elif not _is_block(item):
                 # float(v) first: np.float64 formats slower than a Python float
                 writer.writerow([format(float(v), ".17g")
                                  if isinstance(v, float) else v for v in item])
                 continue
             line = ",".join(["%.17g"] * item.shape[1]) + "\n"
+            if heads is not None:
+                line = "%s" + line
             for lo in range(0, item.shape[0], _CSV_CHUNK_ROWS):
                 chunk = item[lo:lo + _CSV_CHUNK_ROWS]
-                fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+                if heads is None:
+                    cells = chunk.ravel().tolist()
+                else:  # head, cells, head, cells, ...
+                    cells = chain.from_iterable(zip(
+                        heads[lo:lo + _CSV_CHUNK_ROWS], *chunk.T.tolist()))
+                fh.write(line * chunk.shape[0] % tuple(cells))
 
 
 def save_csv(dataset: EmpiricalDataset, path) -> None:
@@ -171,12 +186,28 @@ def save_csv(dataset: EmpiricalDataset, path) -> None:
 def load_csv(path) -> EmpiricalDataset:
     """Read a dataset written by save_csv (or any headerless numeric CSV).
 
-    Certificates are not persisted, so the result has radius=0 and
-    centered=False; re-derive them with center_and_normalize if needed.
+    A plain numeric file is parsed in one C pass (`np.loadtxt`, whose cells
+    read bit for bit as `float()` reads them).  A file that pass rejects or
+    finds empty is read again cell by cell with the csv module, which also
+    takes quoted cells and what `float()` takes beyond the C parser, such as
+    `1_0`, and raises ParseError naming the row and column at fault.  Blank
+    lines are skipped.  Certificates are not persisted, so the result has
+    radius=0 and centered=False; re-derive them with center_and_normalize
+    if needed.
     """
-    rows = []
-    width = None
     with open(path, newline="") as fh:
+        try:
+            with warnings.catch_warnings():  # an empty file warns
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                points = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:  # not a plain numeric file
+            pass
+        else:
+            if points.size:
+                return EmpiricalDataset(points)
+        fh.seek(0)
+        rows = []
+        width = None
         for i, raw in enumerate(csv.reader(fh), start=1):
             if not raw:
                 continue

@@ -86,6 +86,9 @@ class SamplerConfig:
             if (isinstance(v, bool) or not isinstance(v, numbers.Real)
                     or not abs(v) < math.inf):  # NaN fails, a huge int passes
                 raise DomainError(f"{name} must be a finite real number, got {v!r}")
+        if self.s_start > VpSchedule.horizon:
+            raise DomainError(f"s_start must lie in (0, {VpSchedule.horizon}], "
+                              f"got {self.s_start!r}")
         if not 0 < self.s_min < self.s_start:
             raise DomainError("need 0 < s_min < s_start")
         check_seed(self.seed)

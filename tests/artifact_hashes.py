@@ -14,9 +14,12 @@ numbers to `DIR/<name>.npy`.  `--delta A B` then prints `name max|A - B|`
 for each array found in both dumps, largest first (`shape` where the shapes
 differ, `nan` where only one side is NaN).  It covers
 
-- 11 CLI runs with `--seed 11`: `sample` with trajectories for each sampler
-  kind, two `sweep`s, one `scan`, `bifurcate` with and without a dataset,
-  and `dataset generate`, `normalize` and `inspect`;
+- 13 CLI runs with `--seed 11`: `sample` with trajectories for each sampler
+  kind, and once more at D=2 and B=1000, whose trajectory rows span the
+  writer's chunks; two `sweep`s, one `scan`, `bifurcate` with and without a
+  dataset, and `dataset generate`, `normalize` and `inspect`, with one more
+  `generate` from a CRLF `csv` file of edge cells (-0.0, the least
+  subnormal, the largest float) and a blank line;
 - the benchmark's `landscape` commands (`bench/workloads.py`) at bench
   seeds 0, 3 and 7;
 - every `ExactScoreModel` batch method, `score` and `hessian` on the
@@ -94,6 +97,9 @@ def _cli(name: str, argv: list[str]):
 def cli_hashes(work: Path, arrays: Path | None):
     line = work / "line.csv"
     line.write_text("-1,0\n1,0\n")
+    edges = work / "edges.csv"
+    edges.write_bytes(b"-0.0,5e-324\r\n\r\n1.7976931348623157e308,-1.5\r\n"
+                      b"0.25,2\r\n")
     gmm = {"kind": "gaussian_mixture", "centers": GMM3, "std": 0.08,
            "n_per_mode": 16}
     sphere8 = {"kind": "hypersphere", "d": 8, "n": 64,
@@ -112,6 +118,10 @@ def cli_hashes(work: Path, arrays: Path | None):
             "dataset": sphere8,
             "sampler": {"kind": "ddim", "n_steps": 10, "batch": 16,
                         "init": "gls", "s_start": 0.5, "trajectories": True}}),
+        ("sample_sde_B1000", "sample", {
+            "dataset": gmm,
+            "sampler": {"kind": "stochastic_sde", "n_steps": 20,
+                        "batch": 1000, "trajectories": True}}),
         ("sweep_sde", "sweep", {
             "dataset": gmm, "sweep": sweep,
             "sampler": {"kind": "stochastic_sde", "n_steps": 30, "batch": 200}}),
@@ -131,6 +141,8 @@ def cli_hashes(work: Path, arrays: Path | None):
                 work / "sweep_sde" / "sweep_table.csv")}}),
         ("generate", ["dataset", "generate"], {"dataset": gmm}),
         ("normalize", ["dataset", "normalize"], {"dataset": gmm}),
+        ("generate_csv_edges", ["dataset", "generate"], {"dataset": {
+            "kind": "csv", "path": str(edges)}}),
         ("inspect", ["dataset", "inspect"], {"dataset": {
             "kind": "csv", "path": str(work / "normalize" / "points.csv")}}),
     ]

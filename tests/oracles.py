@@ -9,6 +9,8 @@ package output against these as a second route.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 # exp(-0.25*1^2*(20-0.1) - 0.5*1*0.1) = exp(-5.025), signal left at s=1
@@ -203,3 +205,25 @@ def reference_csv(rows) -> bytes:
     return "".join(",".join(str(v) if isinstance(v, (int, np.integer))
                             else format(float(v), ".17g") for v in row) + "\n"
                    for row in rows).encode()
+
+
+def reference_load_csv(path):
+    """A headerless numeric CSV read one cell at a time: each nonblank
+    record of the csv module's default dialect is a row, and each cell
+    goes through float().  Returns the (rows, width) array, or the text of
+    the ParseError the file must raise."""
+    rows = []
+    with open(path, newline="") as fh:
+        for i, raw in enumerate(csv.reader(fh), start=1):
+            if not raw:
+                continue
+            if rows and len(raw) != len(rows[0]):
+                return f"row {i}: expected {len(rows[0])} columns, found {len(raw)}"
+            row = []
+            for j, cell in enumerate(raw, start=1):
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    return f"row {i}, column {j}: not a number: {cell!r}"
+            rows.append(row)
+    return np.array(rows, dtype=np.float64) if rows else f"{path}: no data rows"

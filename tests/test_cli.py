@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from symbreak import VpSchedule, bifurcation, config, samplers
+from symbreak import VpSchedule, bifurcation, cli, config, samplers
 from symbreak.cli import main
 from symbreak.datasets import _CSV_CHUNK_ROWS
 
@@ -121,6 +122,25 @@ def test_sweep_artifacts(tmp_path):
     knee = json.loads((out / "knee.json").read_text())
     assert set(knee) == {"s_start", "second_difference", "low_confidence"}
     assert knee["s_start"] in [0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def test_bifurcate_reads_the_sweep_grid_exactly(tmp_path):
+    # 0.3333333 prints as 0.333333 at 6 digits, which would move the knee
+    gmm = {"kind": "gaussian_mixture", "centers": [[2.4, 0.6], [0.9, -0.4],
+           [-1.6, 0.8], [-0.4, -2.0]], "std": 0.1, "n_per_mode": 16, "seed": 7}
+    grid = [0.1, 0.2, 0.3333333, 0.5, 1.0]
+    cfg = {"dataset": gmm, "sweep": {"s_start_grid": grid},
+           "sampler": {"kind": "ddim", "n_steps": 5, "batch": 500}}
+    code, sweep = run_cli(tmp_path, "sweep", cfg)
+    assert code == 0
+    header = (sweep / "sweep_table.csv").read_text().splitlines()[0]
+    assert header.split(",")[1:] == ["s=0.1", "s=0.2", "s=0.3333333", "s=0.5", "s=1"]
+    table = str(sweep / "sweep_table.csv")
+    code, out = run_cli(tmp_path, "bifurcate",
+                        {"bifurcate": {"theta_count": 8, "sweep_csv": table}})
+    assert code == 0
+    knee = json.loads((sweep / "knee.json").read_text())
+    assert json.loads((out / "critical.json").read_text())["knee"] == knee
 
 
 def test_scan_csv_layout(tmp_path):
@@ -470,6 +490,34 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "sample", SAMPLE_CFG, "--seed", "-1")
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        results = []
+        for _ in range(2):
+            for cfg, extra in ((SAMPLE_CFG, ()), ({"sampler": {}}, ()),
+                               (SAMPLE_CFG, ("--bogus",))):
+                try:
+                    code, _ = run_cli(tmp_path, "sample", cfg, *extra)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+                results.append((code, capsys.readouterr().err))
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("symbreak") == 1
+    assert [code for code, _ in results] == [0, 2, 2] * 2
+    assert results[:3] == results[3:]
+    assert "unrecognized arguments: --bogus" in results[2][1]
 
 
 def test_diverged_sampler_exits_3(tmp_path, capsys):

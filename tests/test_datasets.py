@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +165,8 @@ _ROWS = st.integers(0, 6) | st.integers(_CSV_CHUNK_ROWS - 2, _CSV_CHUNK_ROWS + 2
 @given(hnp.arrays(np.float64, st.tuples(_ROWS, st.integers(1, 6)),
                   elements=_CELLS))
 def test_write_csv_blocks_match_the_per_cell_rule(values):
-    # as the rows themselves, in a column-major copy, and as one block among
-    # text rows
+    # as the rows themselves, in a column-major copy, as one block among
+    # text rows, and with each row headed by fixed text
     want = oracles.reference_csv(values)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "block.csv"
@@ -175,6 +176,68 @@ def test_write_csv_blocks_match_the_per_cell_rule(values):
         assert path.read_bytes() == b"h\n" + want
         write_csv(path, [["a", 0.5], values, ["b", 2]])
         assert path.read_bytes() == b"a,0.5\n" + want + b"b,2\n"
+        heads = [f"{r},{r / 3:.17g}," for r in range(len(values))]
+        write_csv(path, [(heads, values), ["b", 2]])
+        assert path.read_bytes() == oracles.reference_csv(
+            [r, r / 3, *row] for r, row in enumerate(values)) + b"b,2\n"
+
+
+_NUMBER_TEXT = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                | st.floats(allow_nan=False, allow_infinity=False).map(
+                    lambda v: f"{v:.17g}")
+                | st.floats(allow_nan=False, allow_infinity=False).map(
+                    lambda v: f" {v:.4E}\t")
+                | st.sampled_from([
+                    "-0.0", "-0", "+1", ".5", "5.", "5e-324", "-4e-324",
+                    "2.2250738585072011e-308", "1.7976931348623157e308",
+                    "0.100000000000000000000000000001",
+                    "123456789012345678901234567890", "1e400", "inf",
+                    "Infinity", "-INF", "nan", "NaN", "+nan"]))
+# what float() takes and the C parser may not, and what neither takes
+_ODD_CELLS = st.sampled_from(['"2.5"', '" -1"', "1_0", '"1,5"', "", " ",
+                              "abc", "0x10", "#3", "1 2", "nan(1)"])
+_ODD_LINES = st.sampled_from([" ", "\t ", "# note", "#1,2", ","])
+
+
+@st.composite
+def _csv_texts(draw):
+    """A numeric CSV file's text, with blank lines, in one of the three
+    line endings; half of them carry one flaw: an odd cell or line, a
+    trailing comma, or a row of another width."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(_NUMBER_TEXT, min_size=width, max_size=width)
+    lines = draw(st.lists(row.map(",".join) | st.just(""), max_size=8))
+    if draw(st.booleans()):
+        odd_row = st.tuples(row, st.integers(0, width - 1), _ODD_CELLS).map(
+            lambda t: ",".join(t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]))
+        flaw = draw(odd_row | _ODD_LINES | row.map(lambda r: ",".join(r) + ",")
+                    | st.lists(_NUMBER_TEXT, min_size=1, max_size=5).map(",".join))
+        lines.insert(draw(st.integers(0, len(lines))), flaw)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_texts())
+def test_load_csv_matches_the_per_cell_parse(text):
+    # the same points bit for bit, or the same error text, and no warning
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pts.csv"
+        path.write_bytes(text.encode())
+        want = oracles.reference_load_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(want, str):
+                with pytest.raises(ParseError) as err:
+                    load_csv(path)
+                assert str(err.value) == want
+            elif not np.all(np.isfinite(want)):
+                with pytest.raises(DomainError, match="^points must be finite$"):
+                    load_csv(path)
+            else:
+                got = load_csv(path).points
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_write_csv_peak_does_not_grow_with_the_block(tmp_path):

@@ -64,6 +64,15 @@ def test_times_must_be_finite_reals(field, bad):
     SamplerConfig(kind="ddim", n_steps=5, s_start=1, s_min=np.float64(1e-4))
 
 
+@pytest.mark.parametrize("s_start", [2.0, 1.0000000000000002])
+def test_s_start_must_not_pass_the_horizon(s_start):
+    # the horizon is the schedule's class constant, so this fails at
+    # construction, not when a run builds its grid
+    with pytest.raises(DomainError, match=r"^s_start must lie in \(0, 1.0\]"):
+        SamplerConfig(kind="ddim", n_steps=5, s_start=s_start)
+    SamplerConfig(kind="ddim", n_steps=5, s_start=VpSchedule.horizon)
+
+
 def test_kind_dispatch_is_strict(two_point_model):
     cfg = SamplerConfig(kind="ddim", n_steps=5, s_start=1.0)
     with pytest.raises(DomainError):
