@@ -1,10 +1,10 @@
 """Command-line driver: deterministic batch experiments from a YAML config.
 
 Commands: bifurcate, sample, sweep, scan, dataset (generate/normalize/
-inspect).  Every command reads one config file, writes CSV/JSON artifacts
-plus a manifest.json into --out, and is bit-reproducible for a fixed
-config and seed.  Exit codes: 0 success, 2 config/input error, 3 numerical
-failure.
+inspect).  Every command reads one config file, writes CSV/JSON/NPY
+artifacts plus a manifest.json into --out, and is bit-reproducible for a
+fixed config and seed.  Exit codes: 0 success, 2 config/input error, 3
+numerical failure.
 
 --threads is accepted and recorded in the manifest; the numerical kernels
 are vectorized single-threaded numpy, so results never depend on it.
@@ -92,37 +92,20 @@ def cmd_bifurcate(cfg: dict, out: Path) -> list[str]:
     return ["branches.csv", "critical.json"]
 
 
-def _trajectory_blocks(trajectories: np.ndarray, s_grid: np.ndarray):
-    """One (heads, states) pair per grid node, for write_csv: the node's
-    (batch, D) states, each row headed by its fixed text `step,s,chain,`.
-
-    step and s are formatted once per node and each chain's number once
-    per run, the bytes "%.17g" gives them, so only the D state cells of a
-    row are formatted.  The heads and states of a node are dropped once
-    the next node's are drawn, which bounds what the writer holds.
-    """
-    chains = [f"{i}," for i in range(trajectories.shape[0])]
-    for k, s in enumerate(s_grid):
-        node = f"{k},{float(s):.17g},"
-        yield [node + chain for chain in chains], trajectories[:, k]
-
-
 def cmd_sample(cfg: dict, out: Path) -> list[str]:
     """finals.csv, one row per chain; with `trajectories: true` also
-    trajectories.csv, every chain at every grid node, node by node."""
+    trajectories.npy, every chain's state at every grid node as a
+    (chains, nodes, D) float64 array, and s_grid.csv, the nodes' forward
+    times."""
     model = cfgmod.build_model(cfg)
     scfg, batch, keep = cfgmod.build_sampler(cfg, model.schedule)
     run = samplers.run_sampler(model, scfg, batch, keep_trajectories=keep)
     datasets.write_csv(out / "finals.csv", run.finals)
-    outputs = ["finals.csv"]
-    if keep:
-        datasets.write_csv(
-            out / "trajectories.csv",
-            _trajectory_blocks(run.trajectories, run.s_grid),
-            header=["step", "s", "chain"]
-            + [f"x_{i}" for i in range(model.dataset.dim)])
-        outputs.append("trajectories.csv")
-    return outputs
+    if not keep:
+        return ["finals.csv"]
+    np.save(out / "trajectories.npy", run.trajectories, allow_pickle=False)
+    datasets.write_csv(out / "s_grid.csv", run.s_grid[:, None], header=["s"])
+    return ["finals.csv", "trajectories.npy", "s_grid.csv"]
 
 
 def cmd_sweep(cfg: dict, out: Path) -> list[str]:
@@ -179,7 +162,7 @@ def cmd_scan(cfg: dict, out: Path) -> list[str]:
           analysis.count_local_minima(row, window), *row]
          for t, row in zip(node_times, scan.values)),
         header=["time", "s", "theta", "n_minima"]
-        + [f"alpha={a:.6g}" for a in alpha])
+        + [f"alpha={_grid_text(a)}" for a in alpha])
     return ["scan.csv"]
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -133,49 +132,32 @@ def center_and_normalize(dataset: EmpiricalDataset,
         f"center_and_normalize did not converge in {_NORMALIZE_ROUNDS} iterations")
 
 
-def _is_block(rows) -> bool:
-    return (isinstance(rows, np.ndarray) and rows.ndim == 2
-            and rows.dtype == np.float64)
-
-
 def write_csv(path, rows, header=()) -> None:
     """The one artifact CSV format: LF endings, float cells (np.float64
     included) at 17 significant digits so they read back exactly, every
     other cell as the csv module writes it.
 
-    `rows` is a 2-D float64 array, or an iterable whose items are rows,
-    such arrays (numeric blocks), or `(heads, block)` pairs: a block whose
-    row r starts with the fixed text `heads[r]`, written as is before the
-    row's cells (so it ends in a comma).  A block is formatted
-    _CSV_CHUNK_ROWS rows at a time by one "%.17g" line template, the same
-    bytes as the per-cell rule, so an integer-valued float prints as an
-    integer (exact below 1e17) and the text held at once stays bounded.
-    Cells that repeat over many rows can go in the heads, formatted once.
+    `rows` is an iterable of rows or one 2-D float64 array.  An array is
+    formatted _CSV_CHUNK_ROWS rows at a time by one "%.17g" line template,
+    the same bytes as the per-cell rule, so an integer-valued float prints
+    as an integer (exact below 1e17) and the text held at once stays
+    bounded.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header:
             writer.writerow(header)
-        for item in (rows,) if _is_block(rows) else rows:
-            heads = None
-            if isinstance(item, tuple) and len(item) == 2 and _is_block(item[1]):
-                heads, item = item
-            elif not _is_block(item):
-                # float(v) first: np.float64 formats slower than a Python float
-                writer.writerow([format(float(v), ".17g")
-                                 if isinstance(v, float) else v for v in item])
-                continue
-            line = ",".join(["%.17g"] * item.shape[1]) + "\n"
-            if heads is not None:
-                line = "%s" + line
-            for lo in range(0, item.shape[0], _CSV_CHUNK_ROWS):
-                chunk = item[lo:lo + _CSV_CHUNK_ROWS]
-                if heads is None:
-                    cells = chunk.ravel().tolist()
-                else:  # head, cells, head, cells, ...
-                    cells = chain.from_iterable(zip(
-                        heads[lo:lo + _CSV_CHUNK_ROWS], *chunk.T.tolist()))
-                fh.write(line * chunk.shape[0] % tuple(cells))
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2
+                and rows.dtype == np.float64):
+            # float(v) first: np.float64 formats slower than a Python float
+            writer.writerows([format(float(v), ".17g")
+                              if isinstance(v, float) else v for v in row]
+                             for row in rows)
+            return
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for lo in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
+            chunk = rows[lo:lo + _CSV_CHUNK_ROWS]
+            fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def save_csv(dataset: EmpiricalDataset, path) -> None:

@@ -9,13 +9,14 @@ the two outputs: the names that differ are the bytes a change moved.
 `--arrays DIR` also writes each API output to `DIR/<name>.npy`, or, for an
 output of several parts, to `DIR/<name>/<part>.npy` (a `score`'s
 log_density, score and weights; a `run_sampler`'s s_grid, finals and
-trajectories; a fixed-point set's parts by index), and each CSV artifact's
-numbers to `DIR/<name>.npy`.  `--delta A B` then prints `name max|A - B|`
-for each array found in both dumps, largest first (`shape` where the shapes
-differ, `nan` where only one side is NaN).  It covers
+trajectories; a fixed-point set's parts by index), and each CSV
+artifact's numbers or NPY artifact's array to `DIR/<name>.npy`.
+`--delta A B` then prints `name max|A - B|` for each array found in both
+dumps, largest first (`shape` where the shapes differ, `nan` where only one
+side is NaN).  It covers
 
 - 13 CLI runs with `--seed 11`: `sample` with trajectories for each sampler
-  kind, and once more at D=2 and B=1000, whose trajectory rows span the
+  kind, and once more at D=2 and B=1000, whose finals span the CSV
   writer's chunks; two `sweep`s, one `scan`, `bifurcate` with and without a
   dataset, and `dataset generate`, `normalize` and `inspect`, with one more
   `generate` from a CRLF `csv` file of edge cells (-0.0, the least
@@ -84,6 +85,9 @@ def _artifacts(name: str, out: Path, arrays: Path | None):
             if path.suffix == ".csv":  # a header reads as a row of NaN
                 _save(arrays, f"{name}/{path.name}",
                       np.genfromtxt(path, delimiter=",", ndmin=2))
+            elif path.suffix == ".npy":
+                _save(arrays, f"{name}/{path.name}",
+                      np.load(path, allow_pickle=False))
             yield f"{name}/{path.name}", digest(path.read_bytes())
 
 

@@ -411,7 +411,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                 capture_output=True, text=True)
             assert proc.returncode == 0, (command, proc.stderr)
             blobs = {p.name: p.read_bytes() for p in sorted(out.iterdir())
-                     if p.suffix in (".csv", ".json")
+                     if p.suffix in (".csv", ".json", ".npy")
                      and p.name != "manifest.json"}
             assert blobs, command
             csv_bytes.append(blobs)

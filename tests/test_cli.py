@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
-from symbreak import VpSchedule, bifurcation, cli, config, samplers
+from symbreak import (VpSchedule, analysis, bifurcation, cli, config,
+                      samplers)
 from symbreak.cli import main
-from symbreak.datasets import _CSV_CHUNK_ROWS
-
-import oracles
 
 
 def run_cli(tmp_path, command, cfg, *extra, name="cfg.yaml"):
@@ -72,16 +70,24 @@ def test_sample_seed_override_changes_output(tmp_path):
     assert manifest["seed_override"] == 5
 
 
+def _read_s_grid(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "s"
+    return np.array([float(v) for v in lines[1:]])
+
+
 def test_sample_trajectories_csv(tmp_path):
+    # trajectories.npy and s_grid.csv: every chain at every grid node
     cfg = {"dataset": {"kind": "two_point_1d"},
            "sampler": {"kind": "stochastic_sde", "n_steps": 4, "batch": 3,
                        "trajectories": True}}
     code, out = run_cli(tmp_path, "sample", cfg)
     assert code == 0
-    rows = list(csv.reader((out / "trajectories.csv").open()))
-    assert rows[0] == ["step", "s", "chain", "x_0"]
-    assert len(rows) == 1 + 5 * 3
-    assert rows[1][:3] == ["0", "1", "0"]
+    traj = np.load(out / "trajectories.npy", allow_pickle=False)
+    assert traj.dtype == np.float64 and traj.shape == (3, 5, 1)
+    assert traj.flags.c_contiguous
+    s_grid = _read_s_grid(out / "s_grid.csv")
+    assert s_grid.shape == (5,) and s_grid[0] == 1.0
 
 
 @pytest.mark.parametrize("kind", ["stochastic_sde", "ddim"])
@@ -89,8 +95,8 @@ def test_sample_trajectories_csv(tmp_path):
     {"kind": "two_point_1d"},
     {"kind": "hypersphere", "d": 3, "n": 8, "seed": 2}], ids=["d1", "d3"])
 def test_trajectories_csv_matches_the_row_by_row_table(tmp_path, kind, dataset):
-    # a batch that spans chunks and ends inside one
-    batch = _CSV_CHUNK_ROWS + 44
+    # the files hold the API run bit for bit: same dtype, shape and cells
+    batch = 37
     cfg = {"dataset": dataset, "sampler": {
         "kind": kind, "n_steps": 3, "batch": batch, "trajectories": True}}
     code, out = run_cli(tmp_path, "sample", cfg)
@@ -98,12 +104,12 @@ def test_trajectories_csv_matches_the_row_by_row_table(tmp_path, kind, dataset):
     model = config.build_model(cfg)
     scfg, _, _ = config.build_sampler(cfg, model.schedule)
     run = samplers.run_sampler(model, scfg, batch, keep_trajectories=True)
-    dim = model.dataset.dim
-    header = ",".join(["step", "s", "chain"] + [f"x_{i}" for i in range(dim)])
-    rows = ([k, s, i, *run.trajectories[i, k]]
-            for k, s in enumerate(run.s_grid) for i in range(batch))
-    assert (out / "trajectories.csv").read_bytes() == (
-        header.encode() + b"\n" + oracles.reference_csv(rows))
+    traj = np.load(out / "trajectories.npy", allow_pickle=False)
+    assert traj.dtype == run.trajectories.dtype == np.float64
+    assert traj.shape == run.trajectories.shape == (batch, 4, model.dataset.dim)
+    assert traj.tobytes() == run.trajectories.tobytes()
+    s_grid = _read_s_grid(out / "s_grid.csv")
+    assert s_grid.tobytes() == run.s_grid.tobytes()
 
 
 def test_sweep_artifacts(tmp_path):
@@ -155,6 +161,9 @@ def test_scan_csv_layout(tmp_path):
     rows = list(csv.reader((out / "scan.csv").open()))
     assert rows[0][:4] == ["time", "s", "theta", "n_minima"]
     assert len(rows[0]) == 4 + 61
+    # the header keeps the alpha grid exactly, not at 6 digits
+    alpha = np.array([float(h.removeprefix("alpha=")) for h in rows[0][4:]])
+    assert alpha.tobytes() == analysis.default_alpha_grid(61).tobytes()
     assert len(rows) == 4
     for row in rows[1:]:
         t, s, theta = float(row[0]), float(row[1]), float(row[2])
