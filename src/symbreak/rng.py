@@ -6,14 +6,15 @@ Streams are keyed by (seed, stream_index), so independent consumers (one
 sampler chain, one dataset draw) get reproducible, non-overlapping streams
 on any platform and under any thread count.
 
-`stream` returns one keyed Generator.  `chain_blocks` draws many
-consecutive streams (seed, 0), (seed, 1), ... a block of columns at a time,
-as the samplers do for their chains: row i of each block continues stream
-(seed, i) where the previous block stopped, and no Generator is kept per
-row.  `chain_normals` is its one block.  A sampler run draws its chains in
-blocks of bounded size; a late-start sweep calls `chain_normals` once per
-repeat r, with seed seed + r, and every grid point of that repeat reuses
-the draw.
+`stream` returns one keyed Generator.  `chain_normals` draws many
+consecutive streams (seed, 0), (seed, 1), ... as the rows of one array,
+re-keying one shared Philox per row.  `chain_blocks` draws the same rows a
+block of columns at a time: row i of each block continues stream (seed, i)
+where the previous block stopped, through one bare Philox kept per row.  A
+sampler run that fits its noise budget takes one `chain_normals` draw, and a
+longer run draws in blocks of bounded size; a late-start sweep calls
+`chain_normals` once per repeat r, with seed seed + r, and every grid point
+of that repeat reuses the draw.
 
 The seed rule lives here alone: a seed or stream index is an integer, not a
 bool, in [0, 2**64), the width of one Philox key word.  `check_seed`
@@ -55,17 +56,12 @@ def chain_blocks(seed: int, chains: int, widths: Iterable[int]
     turn, row i continuing stream (seed, i) where the previous block
     stopped, so the blocks side by side are one draw, bit for bit.
 
-    A lone block re-keys one shared Philox per row.  Several blocks keep a
-    bare Philox per row, 385 bytes and 7 us to build, wrapped in a Generator
-    for 0.5 us per block; they are dropped before the last block is
-    yielded.  No block is held while the next is drawn.
+    Each row keeps a bare Philox, 385 bytes and 7 us to build, wrapped in a
+    Generator for 0.5 us per block; the rows are dropped before the last
+    block is yielded.  No block is held while the next is drawn.
     """
     seed, widths = check_seed(seed), list(widths)
-    if len(widths) < 2:
-        gen = np.random.Generator(np.random.Philox(0))
-        for w in widths:
-            rekeyed = _keyed(seed, chains, gen.bit_generator)
-            yield _filled(chains, w, (gen for _ in rekeyed))
+    if not widths:
         return
     rows = list(_keyed(seed, chains))
     for w in widths[:-1]:
@@ -77,8 +73,8 @@ def chain_blocks(seed: int, chains: int, widths: Iterable[int]
 
 def _filled(chains: int, width: int, gens: Iterable[np.random.Generator]
             ) -> np.ndarray:
-    """(chains, width) normals, row i drawn by the i-th of `gens`; apart,
-    so that no name in `chain_blocks` keeps a view of the last block."""
+    """(chains, width) normals, row i drawn by the i-th of `gens`; apart, so
+    that no name in `chain_blocks` holds a block while the next is drawn."""
     out = np.empty((chains, width))
     for row, gen in zip(out, gens):
         gen.standard_normal(out=row)
@@ -107,5 +103,8 @@ def _keyed(seed: int, chains: int, bitgen: Optional[np.random.Philox] = None
 
 def chain_normals(seed: int, chains: int, per_chain: int) -> np.ndarray:
     """(chains, per_chain) array whose row i is the first `per_chain`
-    values of `stream(seed, i).standard_normal(...)`, bit for bit."""
-    return next(chain_blocks(seed, chains, [per_chain]))
+    values of `stream(seed, i).standard_normal(...)`, bit for bit, drawn by
+    one shared Philox re-keyed per row, so no per-row state is kept."""
+    gen = np.random.Generator(np.random.Philox(0))
+    rekeyed = _keyed(check_seed(seed), chains, gen.bit_generator)
+    return _filled(chains, per_chain, (gen for _ in rekeyed))

@@ -16,14 +16,14 @@ the kernel's output into the next state in place, so a run holds the state,
 one posterior mean, one temporary, the kernel's block and its noise.
 Chain i draws all of its randomness from the counter-based stream keyed
 (seed, i), so a batch is bit-reproducible regardless of execution order or
-thread count.  A run draws its batch from `rng.chain_blocks`, whose row i
-is stream (seed, i): init first, then the step noise, whole when it fits
-_NOISE_BUDGET and otherwise in chunks of at least _STREAM_FLOATS floats
-per chain, so the run's memory does not depend on n_steps.
-`late_start_sweep` draws repeat r's whole batch once with
-`rng.chain_normals`, read-only, and every grid point of that repeat reuses
-it through `run_sampler(..., normals=...)`; row i is still stream
-(seed + r, i), so each grid point's finals equal a standalone run's.
+thread count.  Row i of a run's noise is stream (seed, i), init first: a
+run whose noise fits _NOISE_BUDGET draws it whole with `rng.chain_normals`,
+and a longer run draws its init alone and then chunks of at least
+_STREAM_FLOATS floats per chain with `rng.chain_blocks`, so its memory does
+not depend on n_steps.  `late_start_sweep` draws repeat r's whole batch
+once with `rng.chain_normals`, read-only, and every grid point of that
+repeat reuses it through `run_sampler(..., normals=...)`; row i is still
+stream (seed + r, i), so each grid point's finals equal a standalone run's.
 
 Initialization is either a standard normal or a moment-matched Gaussian
 ("gls"): mean theta*mean(data), covariance theta^2*Cov(data) + (1-theta^2)I,
@@ -113,8 +113,7 @@ class SamplerRun:
 def forward_sample(model: ExactScoreModel, s: float, n: int,
                    seed: int) -> np.ndarray:
     """n exact draws from the noised marginal at forward time s."""
-    if n < 1:
-        raise DomainError("forward_sample requires n >= 1")
+    _check_count(n, "n")
     theta, var = model._s_forward(s)
     rng = stream(seed)
     idx = rng.integers(0, model.dataset.n_points, size=n)
@@ -162,11 +161,10 @@ def _normals_shape(model: ExactScoreModel, config: SamplerConfig,
     return batch, (1 + config.n_steps * (config.kind != "ddim")) * model.dataset.dim
 
 
-def _step_noise(chunk: np.ndarray, blocks: Iterator[np.ndarray],
-                d: int) -> Iterator[np.ndarray]:
-    """Each step's (batch, d) noise: the steps of `chunk`, then those of
-    each of `blocks` in turn.  Each block is dropped before the next is
-    drawn."""
+def _step_noise(blocks: Iterator[np.ndarray], d: int) -> Iterator[np.ndarray]:
+    """Each step's (batch, d) noise, from each of `blocks` in turn.  Each
+    block is dropped before the next is drawn."""
+    chunk = next(blocks, None)
     while chunk is not None:
         for j in range(0, chunk.shape[1], d):
             yield chunk[:, j:j + d]
@@ -181,32 +179,32 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
     (seed, chain), or from `normals` once its shape is checked.
 
     Chain i's init is the first d normals of its stream and its step noise
-    the next n_noise * d.  A run draws the init and k steps of noise, then
-    k steps at a time as they are used, k as at _NOISE_BUDGET; the streams
-    resume where they stopped, so the bytes do not depend on k.  A chunked
-    gls init, a new array, is drawn alone; a standard-normal init is a view
-    of the draw.  Given `normals` are only read, so they may be shared.
+    the next n_noise * d.  A run whose n_noise is at most
+    max(_NOISE_BUDGET // (batch * d), k) steps, k = ceil(_STREAM_FLOATS / d),
+    takes `chain_normals` as its `normals`.  A longer run draws its init
+    alone, then k steps at a time as they are used, from `chain_blocks`,
+    whose rows resume where they stopped, so the bytes are the same either
+    way.  Given `normals` are only read, so they may be shared.
     """
     d, shape = model.dataset.dim, _normals_shape(model, config, batch)
-    n_noise = shape[1] // d - 1
+    n_noise, k = shape[1] // d - 1, -(-_STREAM_FLOATS // d)
+    if normals is None and n_noise <= max(_NOISE_BUDGET // (batch * d), k):
+        normals = chain_normals(config.seed, *shape)
     if normals is None:
-        k = -(-_STREAM_FLOATS // d)
-        first = (n_noise if n_noise <= max(_NOISE_BUDGET // (batch * d), k)
-                 else 0 if config.init == "gls" else k)
-        blocks = chain_blocks(config.seed, batch, [(1 + first) * d] + [
-            min(k, n_noise - j) * d for j in range(first, n_noise, k)])
-        z = next(blocks)
+        blocks = chain_blocks(config.seed, batch, [d] + [
+            min(k, n_noise - j) * d for j in range(0, n_noise, k)])
+        init = next(blocks)
     else:
-        z, blocks = np.asarray(normals, dtype=np.float64), iter(())
+        z = np.asarray(normals, dtype=np.float64)
         if z.shape != shape:
             raise ShapeError(f"normals have shape {z.shape}, expected {shape}")
-    init = z[:, :d]
+        init, blocks = z[:, :d], iter([z[:, d:]])
     if config.init == "gls":
         ginit = gls_init(model, config.s_start)
         # stacked mat-vec, bit-equal per row to L @ z; z @ L.T is a GEMM
         # whose rounding may depend on the batch and break the prefix property
         init = ginit.mean + np.matmul(ginit.cholesky, init[:, :, None])[:, :, 0]
-    return init, _step_noise(z[:, d:], blocks, d)
+    return init, _step_noise(blocks, d)
 
 
 def _check_finite(X: np.ndarray, step: int) -> None:
@@ -326,9 +324,10 @@ def late_start_sweep(model: ExactScoreModel, kind: str, n_steps: int,
 
     Repeat r uses seed+r for every grid point (common random numbers across
     the grid, independent across repeats).  Its chain normals are drawn once,
-    whole and read-only, and every grid point of the repeat reuses them, so
+    whole and read-only with `chain_normals`, as a lone run within its noise
+    budget draws them, and every grid point of the repeat reuses them, so
     the sweep holds (batch, (1 + n_noise) * d) floats however long the run
-    is, where a lone run holds a bounded chunk; row i is still stream
+    is, where a longer lone run holds a bounded chunk; row i is still stream
     (seed+r, i), so each value equals `metric(run_sampler(...).finals)` of
     that grid point's own run.  Every grid point's config and time grid, and
     the batch, are checked before anything is sampled.

@@ -117,6 +117,13 @@ def test_forward_sample_moments(two_point_model):
     assert abs(near_pos / 40000 - 0.5) < 0.02
 
 
+@pytest.mark.parametrize("n", [0, -3, True, 2.5, np.float64(4.0)])
+def test_forward_sample_count_must_be_a_positive_integer(two_point_model, n):
+    # True and 2.5 would otherwise reach numpy's own TypeError
+    with pytest.raises(DomainError, match="^n must"):
+        forward_sample(two_point_model, 0.4, n, seed=5)
+
+
 def test_gls_init_matches_manual_moments(gmm_model):
     s = 0.3
     theta, var = gmm_model._s_forward(s)
@@ -442,14 +449,20 @@ def test_given_normals_reproduce_the_run(gmm_model, kind):
 
 
 def _spy_blocks(monkeypatch) -> list:
-    """The widths of each `chain_blocks` call a sampler makes, in order."""
-    drawn, real = [], samplers.chain_blocks
+    """(name, widths) of each `chain_normals` and `chain_blocks` call a
+    sampler makes, in order."""
+    drawn, normals, blocks = [], samplers.chain_normals, samplers.chain_blocks
 
-    def spy(seed, chains, widths):
-        drawn.append(list(widths))
-        return real(seed, chains, drawn[-1])
+    def spy_normals(seed, chains, per_chain):
+        drawn.append(("chain_normals", [per_chain]))
+        return normals(seed, chains, per_chain)
 
-    monkeypatch.setattr(samplers, "chain_blocks", spy)
+    def spy_blocks(seed, chains, widths):
+        drawn.append(("chain_blocks", list(widths)))
+        return blocks(seed, chains, drawn[-1][1])
+
+    monkeypatch.setattr(samplers, "chain_normals", spy_normals)
+    monkeypatch.setattr(samplers, "chain_blocks", spy_blocks)
     return drawn
 
 
@@ -478,30 +491,34 @@ def test_noise_chunks_do_not_change_the_run(request, monkeypatch, model_name):
                                normals=chain_normals(12, batch, width))
             for budget in budgets:
                 monkeypatch.setattr(samplers, "_NOISE_BUDGET", budget)
+                drawn.clear()
                 got = run_sampler(model, cfg, batch, keep_trajectories=True)
+                whole = kind == "ddim" or budget == budgets[-1]
+                assert [name for name, _ in drawn] == [
+                    "chain_normals" if whole else "chain_blocks"], (kind, budget)
                 assert np.array_equal(got.finals, want.finals), (kind, init, budget)
                 assert np.array_equal(got.trajectories, want.trajectories), (
                     kind, init, budget)
                 if budget == 1 and kind != "ddim":  # one step per chunk
-                    assert drawn[-1][-n_steps + 1:] == [d] * (n_steps - 1)
+                    assert drawn[-1][1][-n_steps + 1:] == [d] * (n_steps - 1)
 
 
 @pytest.mark.parametrize("n_steps, widths", [
-    (20, {"standard_normal": [42], "gls": [42]}),
-    (100, {"standard_normal": [82, 80, 40], "gls": [2, 80, 80, 40]})])
+    (20, ("chain_normals", [42])), (100, ("chain_blocks", [2, 80, 80, 40]))])
 def test_chunks_are_at_least_a_stream_wide(gmm_model, monkeypatch, n_steps,
                                            widths):
     # a budget of one step per chunk for 5 chains in D=2 still gives each
-    # chunk 40 steps, 80 floats per chain; a chunked gls run draws its init
-    # alone, since the init normals are dead once transformed
+    # chunk 40 steps, 80 floats per chain, so 20 steps are drawn whole, in
+    # one `chain_normals` call; a chunked run draws its init alone, for
+    # either init
     drawn = _spy_blocks(monkeypatch)
     monkeypatch.setattr(samplers, "_NOISE_BUDGET", 10)
-    for init, want in widths.items():
+    for init in ("standard_normal", "gls"):
         drawn.clear()
         cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=n_steps,
                             s_start=0.6, init=init, seed=3)
         run_sampler(gmm_model, cfg, 5)
-        assert drawn == [want], init
+        assert drawn == [widths], init
 
 
 def _run_peak(model, cfg, batch):
