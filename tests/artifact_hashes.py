@@ -31,7 +31,13 @@ side is NaN).  It covers
   either side of the rule for drawing noise whole: criterion 8's mixture
   at B=6000 (41 SDE steps, each init), drawn in chunks, the last one
   step wide, and a D=8 sphere sample at B=64 (100 SDE steps), drawn whole;
+  and 3-step DDIM on criterion 8's mixture at B=6000 for each init, whose
+  two-column draw takes `rng.chain_normals`' narrow path across several
+  row blocks, with some rows redrawn;
   `fixed_points_general`, `frechet_gaussian` and `critical_theta_cov`.
+
+The two `gmm4_B6000_ddim` lines came with the narrow draw, after the
+script printed 319 lines; those 319 lines did not change with it.
 
 Manifests are skipped: they hold wall times.  This is a script, not a
 collected test.
@@ -276,6 +282,11 @@ def api_outputs():
                             init=init, seed=11)
         run = run_sampler(gmm4, cfg, 6000, keep_trajectories=True)
         yield f"api/run_sampler/gmm4_B6000/{init}", _run_parts(run)
+    for init in ("standard_normal", "gls"):
+        cfg = SamplerConfig(kind="ddim", n_steps=3, s_start=0.5, init=init,
+                            seed=11)
+        run = run_sampler(gmm4, cfg, 6000, keep_trajectories=True)
+        yield f"api/run_sampler/gmm4_B6000_ddim/{init}", _run_parts(run)
     cfg = SamplerConfig(kind="stochastic_sde", n_steps=100, s_start=1.0,
                         seed=11)
     run = run_sampler(ExactScoreModel(hypersphere(8, 1.0, 256, seed=4),

@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbreak import rng
 from symbreak.errors import DomainError
 from symbreak.rng import chain_blocks, chain_normals, stream
 
@@ -61,13 +63,54 @@ def test_keys_must_fit_64_bits():
         chain_normals(2 ** 64, 2, 3)
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2 ** 32 + 1, 2 ** 63 + 11])
-@pytest.mark.parametrize("chains", [1, 7, 300])
+def _assert_rows_are_streams(seed, chains, widths):
+    # a stream's first w normals are the start of its first max(widths)
+    ref = np.array([stream(seed, i).standard_normal(max(widths))
+                    for i in range(chains)]).reshape(chains, -1)
+    for w in widths:
+        z = chain_normals(seed, chains, w)
+        assert z.shape == (chains, w)
+        assert z.tobytes() == np.ascontiguousarray(ref[:, :w]).tobytes(), w
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 32 + 1, 2 ** 63 + 11, 2 ** 64 - 1])
+@pytest.mark.parametrize("chains", [1, 7, 300, rng._ROWS - 1, rng._ROWS + 1])
 def test_chain_normals_rows_are_streams(seed, chains):
-    z = chain_normals(seed, chains, 9)
-    assert z.shape == (chains, 9)
-    for i in range(chains):
-        assert np.array_equal(z[i], stream(seed, i).standard_normal(9))
+    # widths 1-4 take the narrow draw, in row blocks of rng._ROWS; 5 and 9
+    # the re-keyed loop
+    _assert_rows_are_streams(seed, chains, [1, 2, 3, 4, 5, 9])
+
+
+def test_narrow_draw_reads_numpys_tables():
+    tables = rng._ziggurat()
+    assert tables is not None, "the tables' self-check turned the narrow draw off"
+    wi, bound = tables
+    assert np.all(wi[2:] > 0) and np.all(bound[3:] > 0)
+    assert not bound[:3].any()
+
+
+def test_narrow_draw_falls_back_bit_for_bit(monkeypatch):
+    wi, bound = rng._ziggurat()
+    with monkeypatch.context() as m:  # no word passes: every row is redrawn
+        m.setattr(rng, "_ziggurat", lambda: (wi, np.zeros_like(bound)))
+        assert len(rng._narrow(3, 50, 2, *rng._ziggurat())[1]) == 50
+        _assert_rows_are_streams(2 ** 63 + 11, 50, [1, 2, 4])
+
+    def corrupted(gen):  # one strip's width one unit off in its last place
+        wi = read(gen)
+        wi[100] = np.nextafter(wi[100], 1.0)
+        return wi
+
+    read = rng._read_widths
+    rng._ziggurat.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(rng, "_read_widths", corrupted)
+            assert rng._ziggurat() is None
+            _assert_rows_are_streams(2 ** 63 + 11, 50, [1, 2, 4])
+    finally:
+        rng._ziggurat.cache_clear()
+    assert rng._ziggurat() is not None
 
 
 def test_chain_normals_split_matches_two_draws():
@@ -111,18 +154,42 @@ def test_chain_streams_blocks_equal_one_draw(seed, chains, widths):
 
 
 def test_chain_normals_keeps_no_per_row_state():
-    # one shared Philox re-keyed per row: the draw holds little beyond its
-    # output, where a bare Philox kept per row, as in chain_blocks, would
-    # hold about 385 bytes a row
+    # the narrow draw (width 2) works in row blocks of bounded size, and a
+    # wider one re-keys one shared Philox per row: either holds little
+    # beyond its output, where a bare Philox kept per row, as in
+    # chain_blocks, would hold about 385 bytes a row
     chains = 20_000
-    gc.collect()
-    tracemalloc.start()
-    try:
-        z = chain_normals(7, chains, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - z.nbytes) / chains < 100, peak - z.nbytes
+    rng._ziggurat()  # read once per process, not per draw
+    for width in (2, 9):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            z = chain_normals(7, chains, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - z.nbytes) / chains < 100, (width, peak - z.nbytes)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, np.float64(3.0), 1.5, -1])
+@pytest.mark.parametrize("draw, name", [
+    (lambda v: chain_normals(0, v, 2), "chains"),
+    (lambda v: chain_normals(0, 3, v), "per_chain"),
+    (lambda v: next(chain_blocks(0, v, [2])), "chains"),
+    (lambda v: next(chain_blocks(0, 3, [2, v])), "widths[1]"),
+], ids=["normals-chains", "normals-per_chain", "blocks-chains", "blocks-width"])
+def test_counts_must_be_non_negative_integers(draw, name, bad):
+    # a float count was numpy's TypeError, a negative one its ValueError,
+    # and True drew one row
+    with pytest.raises(DomainError, match="^" + re.escape(name) + " must"):
+        draw(bad)
+
+
+def test_zero_counts_are_allowed():
+    assert chain_normals(0, 0, 2).shape == (0, 2)
+    assert chain_normals(0, 3, 0).shape == (3, 0)
+    assert [b.shape for b in chain_blocks(0, 2, [0, 3])] == [(2, 0), (2, 3)]
+    assert [b.shape for b in chain_blocks(0, 0, [2])] == [(0, 2)]
 
 
 def test_chain_streams_close_after_the_last_draw():
