@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_count
 from .exact_score import ExactScoreModel
 from .samplers import SamplerRun
 
@@ -29,8 +29,7 @@ _ALPHA_HI = 7.0 * np.pi / 10.0
 
 def default_alpha_grid(n: int = 141) -> np.ndarray:
     """The standard scan window [-pi/5, 7*pi/10]; covers both data anchors."""
-    if n < 2:
-        raise DomainError("alpha grid needs at least 2 points")
+    check_count(n, "n", 2)
     return np.linspace(_ALPHA_LO, _ALPHA_HI, n)
 
 
@@ -85,7 +84,7 @@ def potential_scan(model: ExactScoreModel, x1_path, x2_path, alpha_grid,
 def count_local_minima(values, smoothing_window: int = 3) -> int:
     """Strict local minima of the window-averaged curve, endpoints excluded."""
     y = np.asarray(values, dtype=np.float64)
-    if smoothing_window < 1 or smoothing_window % 2 == 0:
+    if check_count(smoothing_window, "smoothing_window", 1) % 2 == 0:
         raise DomainError("smoothing_window must be odd and >= 1")
     if y.ndim != 1 or y.size < 2 * smoothing_window + 1:
         raise DomainError("need at least 2*smoothing_window+1 points")
@@ -144,13 +143,14 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def mode_entropy(generated, centers) -> float:
-    """Shannon entropy (nats) of nearest-center assignments."""
+    """Shannon entropy (nats) of finite points' nearest-center assignments."""
     gen = np.asarray(generated, dtype=np.float64)
     cen = np.asarray(centers, dtype=np.float64)
     if gen.ndim != 2 or cen.ndim != 2 or gen.shape[1] != cen.shape[1]:
         raise ShapeError("generated and centers must be (N, D) with equal D")
-    if gen.shape[0] < 1 or cen.shape[0] < 1:
-        raise DomainError("generated set and centers must be nonempty")
+    if not (gen.shape[0] and cen.shape[0]
+            and np.isfinite(gen).all() and np.isfinite(cen).all()):
+        raise DomainError("generated set and centers must be nonempty and finite")
     counts = np.bincount(nearest_center(gen, cen), minlength=cen.shape[0])
     p = counts[counts > 0] / gen.shape[0]
     return float(-np.sum(p * np.log(p)))
@@ -170,17 +170,18 @@ def correlation_trajectory(run: SamplerRun,
     For D >= 2 the correlation is across coordinates, one value per
     (step, chain).  For D = 1 a per-pair correlation is undefined, so the
     batch is pooled: each step's batch state vector is correlated with the
-    batch finals, one value per step (reference_index is ignored).
+    batch finals, one value per step (reference_index is checked, not used).
     """
     if run.trajectories is None:
         raise DomainError("run has no stored trajectories; "
                           "sample with keep_trajectories=True")
+    check_count(reference_index, "reference_index", 0)
     traj = run.trajectories
     S, n_nodes, d = traj.shape
     if d == 1:
         values, flagged = _pearson(run.finals[:, 0], traj[:, :, 0].T)
         return CorrelationTrajectory(values[:, None], flagged[:, None], True)
-    if not 0 <= reference_index < S:
+    if reference_index >= S:
         raise DomainError(f"reference_index must lie in [0, {S})")
     values, flagged = _pearson(traj[reference_index], traj)
     return CorrelationTrajectory(values.T, flagged.T, False)
@@ -222,11 +223,13 @@ def coordinate_trajectories(run: SamplerRun, indices) -> CoordinateTrajectories:
     if run.trajectories is None:
         raise DomainError("run has no stored trajectories; "
                           "sample with keep_trajectories=True")
-    idx = np.asarray(indices, dtype=int)
+    idx = np.asarray(indices)
     d = run.trajectories.shape[2]
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("indices must be a nonempty 1D sequence")
-    if np.any(idx < 0) or np.any(idx >= d):
+    idx = np.array([check_count(i, f"indices[{j}]", 0)
+                    for j, i in enumerate(indices)])
+    if np.any(idx >= d):
         raise DomainError(f"coordinate indices must lie in [0, {d})")
     sel = run.trajectories[:, :, idx]  # (S, n_nodes, K)
     lo = sel.min(axis=(0, 1))

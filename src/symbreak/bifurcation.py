@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import EmpiricalDataset, write_csv
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_count, check_real
 from .exact_score import ExactScoreModel, curvature, posterior
 from .rng import stream
 
@@ -58,9 +58,9 @@ def critical_theta_cov(lam: float) -> float:
     (the origin is then a fixed point), an estimate otherwise.  Evaluated as
     1 / sqrt(sqrt(1 + lam^2) + lam), which has no cancellation at large lam,
     and as 1 / sqrt(2 lam) where lam^2 overflows."""
-    if not 0 <= lam < np.inf:
-        raise DomainError(f"critical_theta_cov requires finite lam >= 0: {lam}")
-    lam = float(lam)
+    lam = float(check_real(lam, "lam"))
+    if lam < 0:
+        raise DomainError(f"critical_theta_cov requires lam >= 0: {lam}")
     if lam * lam < np.inf:
         return float(1.0 / np.sqrt(np.sqrt(1.0 + lam * lam) + lam))
     # sqrt(1 + lam^2) rounds to lam long before here; 2 lam may overflow
@@ -74,10 +74,9 @@ def critical_theta_1d() -> float:
 
 def critical_theta_sphere(d: int, r: float) -> float:
     """critical_theta_cov at lam = r^2/d, where the origin's Laplacian flips."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise DomainError(f"critical_theta_sphere requires integer d >= 1: {d!r}")
-    if not 0 < r < np.inf:
-        raise DomainError(f"critical_theta_sphere requires finite r > 0: {r}")
+    check_count(d, "d", 1)
+    if check_real(r, "r") <= 0:
+        raise DomainError(f"critical_theta_sphere requires r > 0: {r}")
     return critical_theta_cov(r * r / d)
 
 
@@ -156,7 +155,7 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
     leaves the batch once its residual |g(x) - x| drops below _TOL.
     Converged points are deduplicated at distance _DEDUP in seed order and
     labeled by the eigenvalues of the analytic curvature matrix.  Seeds that
-    exhaust the _MAX_ITER budget are reported, not fatal.
+    exhaust the _MAX_ITER budget, or are not finite, are reported, not fatal.
     """
     if not 0 < theta < 1:
         raise DomainError("fixed_points_general requires theta in (0, 1)")
@@ -170,7 +169,8 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
                              f"expected {X.shape[1:]}")
         X[idx] = x
     gain = 2.0 * theta / (1.0 + theta * theta)
-    active = np.arange(len(seeds))
+    finite = np.isfinite(X).all(axis=1)  # a NaN seed would run the whole budget
+    active = np.flatnonzero(finite)
     for _ in range(_MAX_ITER):
         if not active.size:
             break
@@ -178,7 +178,8 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
         X[active] = g = gain * posterior(Xa, model.kernel, theta).mean
         # the step is the residual g(x) - x; a NaN one never counts as converged
         active = active[~(np.linalg.norm(g - Xa, axis=1) < _TOL)]
-    converged = np.setdiff1d(np.arange(len(seeds)), active)
+    failed = np.union1d(np.flatnonzero(~finite), active)
+    converged = np.setdiff1d(np.arange(len(seeds)), failed)
     found = np.empty((converged.size, X.shape[1]))  # rows [:n] kept so far
     n = 0
     for idx in converged:
@@ -189,7 +190,7 @@ def fixed_points_general(model: ExactScoreModel, theta: float,
         FixedPoint(x, _label_stability(
             np.linalg.eigvalsh(curvature(x[None, :], model.kernel, theta))))
         for x in found[:n])
-    return GeneralFixedPoints(pts, len(seeds), tuple(int(i) for i in active))
+    return GeneralFixedPoints(pts, len(seeds), tuple(int(i) for i in failed))
 
 
 def bifurcation_diagram_1d(theta_grid) -> list[FixedPointBranch]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateDataError, DomainError,
-                     ParseError, ShapeError)
+                     ParseError, ShapeError, check_count, check_real)
 from .rng import stream
 
 _CERT_TOL = 1e-9
@@ -71,12 +71,10 @@ def hypersphere(d: int, r: float, n: int, seed: int) -> EmpiricalDataset:
     Gaussian draw followed by radial projection.  The centered flag is not
     set; apply center_and_normalize if the closed forms need it.
     """
-    if d < 1:
-        raise DomainError("hypersphere requires d >= 1")
-    if r <= 0:
+    check_count(d, "d", 1)
+    if check_real(r, "r") <= 0:
         raise DomainError("hypersphere requires r > 0")
-    if n < 1:
-        raise DomainError("hypersphere requires n >= 1")
+    check_count(n, "n", 1)
     rng = stream(seed)
     pts = rng.standard_normal((n, d))
     norms = np.linalg.norm(pts, axis=1)
@@ -96,10 +94,9 @@ def gaussian_mixture(centers, std: float, n_per_mode: int, seed: int) -> Empiric
             f"centers must be a (K, D) array of numbers: {exc}") from exc
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise ShapeError("centers must be a nonempty (K, D) array")
-    if std < 0:
+    if check_real(std, "std") < 0:
         raise DomainError("gaussian_mixture requires std >= 0")
-    if n_per_mode < 1:
-        raise DomainError("gaussian_mixture requires n_per_mode >= 1")
+    check_count(n_per_mode, "n_per_mode", 1)
     rng = stream(seed)
     blocks = [c + std * rng.standard_normal((n_per_mode, centers.shape[1]))
               for c in centers]
@@ -114,7 +111,7 @@ def center_and_normalize(dataset: EmpiricalDataset,
     shot, so we alternate until both certificates hold at 1e-9 or the
     iteration budget runs out.
     """
-    if r <= 0:
+    if check_real(r, "r") <= 0:
         raise DomainError("center_and_normalize requires r > 0")
     pts = np.array(dataset.points, dtype=np.float64)
     for _ in range(_NORMALIZE_ROUNDS):

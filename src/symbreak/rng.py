@@ -20,40 +20,30 @@ kept per row.  A sampler run that fits its noise budget takes one
 late-start sweep calls `chain_normals` once per repeat r, with seed
 seed + r, and every grid point of that repeat reuses the draw.
 
-The seed rule lives here alone: a seed or stream index is an integer, not a
-bool, in [0, 2**64), the width of one Philox key word.  `check_seed`
-applies it; `SamplerConfig` and the CLI's --seed call it too, so a value
-such as 1.5, True or 2**64 is rejected instead of truncated.  A count of
-rows or columns is an integer, not a bool, and at least 0.
+The seed rule lives here alone: a seed or stream index is a count (see
+`errors.check_count`) below 2**64, the width of one Philox key word.
+`check_seed` applies it; `SamplerConfig` and the CLI's --seed call it too,
+so a value such as 1.5, True or 2**64 is rejected instead of truncated.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 
 def check_seed(value, name: str = "seed") -> int:
     """value as a Philox key word; DomainError naming `name` otherwise."""
-    if not (_integer(value) and 0 <= value < 2 ** 64):
-        raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-    return int(value)
-
-
-def _count(value, name: str) -> int:
-    """value as a row or column count; DomainError naming `name` otherwise."""
-    if not (_integer(value) and value >= 0):
-        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    try:
+        if check_count(value, name, 0) < 2 ** 64:
+            return int(value)
+    except DomainError:
+        pass
+    raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
 def _key(seed: int, index: int) -> np.ndarray:
@@ -76,8 +66,8 @@ def chain_blocks(seed: int, chains: int, widths: Iterable[int]
     Generator for 0.5 us per block; the rows are dropped before the last
     block is yielded.  No block is held while the next is drawn.
     """
-    seed, chains = check_seed(seed), _count(chains, "chains")
-    widths = [_count(w, f"widths[{j}]") for j, w in enumerate(widths)]
+    seed, chains = check_seed(seed), check_count(chains, "chains", 0)
+    widths = [check_count(w, f"widths[{j}]", 0) for j, w in enumerate(widths)]
     if not widths:
         return
     rows = list(_keyed(seed, range(chains)))
@@ -132,8 +122,8 @@ def chain_normals(seed: int, chains: int, per_chain: int) -> np.ndarray:
     wider draw is drawn, through one shared Philox re-keyed per row.  Which
     way a draw goes depends on its width alone.
     """
-    seed = check_seed(seed)
-    chains, per_chain = _count(chains, "chains"), _count(per_chain, "per_chain")
+    seed, chains = check_seed(seed), check_count(chains, "chains", 0)
+    per_chain = check_count(per_chain, "per_chain", 0)
     tables = _ziggurat() if per_chain <= _WORDS else None
     if tables is None:
         return _redrawn(seed, range(chains), per_chain)

@@ -33,7 +33,6 @@ the exact first two moments of the noised marginal at s_start.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -41,7 +40,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import (DivergedError, DomainError, FactorizationError,
-                     ShapeError)
+                     ShapeError, check_count, check_real)
 from .exact_score import _BLOCK_ENTRIES, ExactScoreModel, _sq_norms
 from .rng import chain_blocks, chain_normals, check_seed, stream
 from .schedule import VpSchedule
@@ -56,13 +55,6 @@ _NOISE_BUDGET = _BLOCK_ENTRIES
 # Python call per chain per chunk, which a chunk of this many floats (640
 # bytes) amortizes; a narrower one would save little memory for much time.
 _STREAM_FLOATS = 80
-
-
-def _check_count(value, name: str) -> None:
-    """DomainError unless value is an integer >= 1, not a bool."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1):
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,15 +73,11 @@ class SamplerConfig:
         if self.init not in _INITS:
             raise DomainError(f"unknown init {self.init!r}; "
                               f"expected one of {_INITS}")
-        _check_count(self.n_steps, "n_steps")
-        for name, v in (("s_start", self.s_start), ("s_min", self.s_min)):
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not abs(v) < math.inf):  # NaN fails, a huge int passes
-                raise DomainError(f"{name} must be a finite real number, got {v!r}")
-        if self.s_start > VpSchedule.horizon:
+        check_count(self.n_steps, "n_steps", 1)
+        if check_real(self.s_start, "s_start") > VpSchedule.horizon:
             raise DomainError(f"s_start must lie in (0, {VpSchedule.horizon}], "
                               f"got {self.s_start!r}")
-        if not 0 < self.s_min < self.s_start:
+        if not 0 < check_real(self.s_min, "s_min") < self.s_start:
             raise DomainError("need 0 < s_min < s_start")
         check_seed(self.seed)
 
@@ -113,7 +101,7 @@ class SamplerRun:
 def forward_sample(model: ExactScoreModel, s: float, n: int,
                    seed: int) -> np.ndarray:
     """n exact draws from the noised marginal at forward time s."""
-    _check_count(n, "n")
+    check_count(n, "n", 1)
     theta, var = model._s_forward(s)
     rng = stream(seed)
     idx = rng.integers(0, model.dataset.n_points, size=n)
@@ -157,7 +145,7 @@ def _build_grid(model: ExactScoreModel, config: SamplerConfig) -> np.ndarray:
 def _normals_shape(model: ExactScoreModel, config: SamplerConfig,
                    batch: int) -> tuple[int, int]:
     """(batch, (1 + n_noise) * d), a run's whole draw; ddim's n_noise is 0."""
-    _check_count(batch, "batch")
+    check_count(batch, "batch", 1)
     return batch, (1 + config.n_steps * (config.kind != "ddim")) * model.dataset.dim
 
 
@@ -335,7 +323,7 @@ def late_start_sweep(model: ExactScoreModel, kind: str, n_steps: int,
     grid = np.asarray(s_start_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ShapeError("s_start_grid must be a nonempty 1D array")
-    _check_count(repeats, "repeats")
+    check_count(repeats, "repeats", 1)
     check_seed(seed)
     check_seed(seed + repeats - 1, "seed + repeats - 1")  # before any sampling
 

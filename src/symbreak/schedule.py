@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,11 @@ class VpSchedule:
     horizon: ClassVar[float] = 1.0
 
     def __post_init__(self):
+        check_real(self.beta_min, "beta_min")
+        check_real(self.beta_max, "beta_max")
         if not 0 < self.beta_min <= self.beta_max:
             raise DomainError("schedule requires 0 < beta_min <= beta_max")
-        if self.n_steps < 2:
-            raise DomainError("schedule n_steps must be >= 2")
+        check_count(self.n_steps, "n_steps", 2)
 
     def _check_time(self, s):
         """s in [0, horizon]: a Python float as itself, which skips the 0-d
@@ -91,8 +92,7 @@ class VpSchedule:
 
     def discrete_grid(self, n_sub: int, s_start: float) -> np.ndarray:
         """Equally spaced forward times from s_start down to 0, n_sub+1 nodes."""
-        if n_sub < 1:
-            raise DomainError("n_sub must be >= 1")
+        check_count(n_sub, "n_sub", 1)
         if not 0 < s_start <= self.horizon:
             raise DomainError(f"s_start must lie in (0, {self.horizon}]")
         return np.linspace(s_start, 0.0, n_sub + 1)

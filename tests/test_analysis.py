@@ -229,6 +229,24 @@ def test_mode_entropy_limits():
                                                          abs=1e-12)
 
 
+@pytest.mark.parametrize("where", ["all-nan", "one-nan", "inf", "center"])
+def test_mode_entropy_rejects_non_finite_points(where):
+    # nearest_center's argmin sent a NaN row to center 0, so all-NaN input
+    # had entropy 0.0
+    centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    pts = np.tile([0.9, 0.1], (6, 1))
+    if where == "all-nan":
+        pts[:] = np.nan
+    elif where == "one-nan":
+        pts[2, 1] = np.nan
+    elif where == "inf":
+        pts[4, 0] = -np.inf
+    else:
+        centers[1, 0] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        mode_entropy(pts, centers)
+
+
 def test_nearest_center_matches_brute_force():
     rng = stream(47)
     centers = rng.standard_normal((7, 3))
@@ -399,3 +417,16 @@ def test_coordinate_trajectories_validation(two_point_model):
         kind="ddim", n_steps=3, s_start=1.0), 4)
     with pytest.raises(DomainError):
         coordinate_trajectories(bare, [0])
+
+
+@pytest.mark.parametrize("indices", [[1.7], [True], [0, True], [np.float64(1.0)],
+                                     np.array([True])],
+                         ids=["1.7", "True", "0-True", "float64", "bool-array"])
+def test_coordinate_trajectories_reject_non_integer_indices(indices):
+    # each was read as coordinate 1 (or 0 and 1), truncated without a word
+    run = _toy_run(stream(52).standard_normal((3, 4, 2)))
+    with pytest.raises(DomainError, match=r"^indices\[\d\] must be an integer"):
+        coordinate_trajectories(run, indices)
+    want = coordinate_trajectories(run, [1]).values
+    for ok in ([np.int64(1)], np.array([1]), (1,)):
+        assert np.array_equal(coordinate_trajectories(run, ok).values, want)

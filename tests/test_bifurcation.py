@@ -11,7 +11,7 @@ from symbreak.bifurcation import (bifurcation_diagram_1d, critical_theta_1d,
                                   fixed_points_1d, fixed_points_general,
                                   GeneralFixedPoints, write_branches_csv)
 from symbreak.errors import DomainError, ShapeError
-from symbreak.exact_score import curvature
+from symbreak.exact_score import curvature, posterior
 from symbreak.rng import stream
 
 import oracles
@@ -285,6 +285,23 @@ def test_general_solver_reports_seeds_out_of_budget(two_point_model,
     assert result.failed_seeds == (1, 2)
     assert result.n_seeds == 3
     assert len(result.points) == 1 and result.points[0].x[0] == 0.0
+
+
+def test_general_solver_reports_non_finite_seeds_without_iterating(
+        two_point_model, monkeypatch):
+    # a NaN seed ran all _MAX_ITER kernel passes before it was reported
+    seen = []
+
+    def counted(X, *args, **kwargs):
+        seen.append(X.copy())
+        return posterior(X, *args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "posterior", counted)
+    result = fixed_points_general(two_point_model, 0.8,
+                                  [[0.0], [np.nan], [0.5], [np.inf]])
+    assert result.failed_seeds == (1, 3)
+    assert len(result.points) == 2  # the origin, then the +branch
+    assert all(np.isfinite(X).all() and X.shape[0] <= 2 for X in seen)
 
 
 def _per_seed_runs(model, theta, seeds):
