@@ -77,6 +77,7 @@ def critical_theta_sphere(d: int, r: float) -> float:
     check_count(d, "d", 1)
     if check_real(r, "r") <= 0:
         raise DomainError(f"critical_theta_sphere requires r > 0: {r}")
+    r = float(r)  # an int r * r / d may overflow; inf fails lam's rule
     return critical_theta_cov(r * r / d)
 
 

@@ -5,8 +5,8 @@ other SymbreakError -> 2. Library callers can catch the narrower types.
 Every public count or real argument passes `check_count` or `check_real`.
 """
 
-import math
 import numbers
+import sys
 
 
 class SymbreakError(Exception):
@@ -28,7 +28,7 @@ def check_count(value, name: str, least: int) -> int:
 def check_real(value, name: str):
     """value itself if a finite real number, not a bool; else DomainError."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) < math.inf):  # NaN fails, a huge int passes
+            or not abs(value) <= sys.float_info.max):  # NaN and 10**400 fail
         raise DomainError(f"{name} must be a finite real number, got {value!r}")
     return value
 

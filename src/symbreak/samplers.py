@@ -18,12 +18,14 @@ Chain i draws all of its randomness from the counter-based stream keyed
 (seed, i), so a batch is bit-reproducible regardless of execution order or
 thread count.  Row i of a run's noise is stream (seed, i), init first: a
 run whose noise fits _NOISE_BUDGET draws it whole with `rng.chain_normals`,
-and a longer run draws its init alone and then chunks of at least
-_STREAM_FLOATS floats per chain with `rng.chain_blocks`, so its memory does
-not depend on n_steps.  `late_start_sweep` draws repeat r's whole batch
-once with `rng.chain_normals`, read-only, and every grid point of that
-repeat reuses it through `run_sampler(..., normals=...)`; row i is still
-stream (seed + r, i), so each grid point's finals equal a standalone run's.
+and a longer run draws its init alone and then chunks of
+k = max(1, _STREAM_FLOATS // d) steps with `rng.chain_blocks`, at most
+_STREAM_FLOATS floats per chain and at least one step, each dropped with its
+last step, so its memory does not depend on n_steps.  `late_start_sweep`
+draws repeat r's whole batch once with `rng.chain_normals`, read-only, and
+every grid point of that repeat reuses it through
+`run_sampler(..., normals=...)`; row i is still stream (seed + r, i), so
+each grid point's finals equal a standalone run's.
 
 Initialization is either a standard normal or a moment-matched Gaussian
 ("gls"): mean theta*mean(data), covariance theta^2*Cov(data) + (1-theta^2)I,
@@ -49,11 +51,13 @@ _KINDS = ("stochastic_sde", "ancestral_ddpm", "ddim")
 _INITS = ("standard_normal", "gls")
 KNEE_MIN_POINTS = 5  # fewest grid points estimate_knee accepts
 # A run draws its step noise whole when that is at most the kernel's 1 MB
-# budget of floats or ceil(_STREAM_FLOATS / d) steps, else in such chunks.
+# budget of floats or max(1, _STREAM_FLOATS // d) steps, else in such chunks.
 _NOISE_BUDGET = _BLOCK_ENTRIES
 # A chunked run keeps one bare Philox per chain, about 385 bytes, and pays a
-# Python call per chain per chunk, which a chunk of this many floats (640
-# bytes) amortizes; a narrower one would save little memory for much time.
+# Python call per chain per chunk, which a chunk of about this many floats
+# (640 bytes) amortizes; a narrower one would save little memory for much
+# time.  A chunk holds at most this many floats per chain and at least one
+# step, so at d > 40 it is one step, gone before the next kernel pass.
 _STREAM_FLOATS = 80
 
 
@@ -150,14 +154,14 @@ def _normals_shape(model: ExactScoreModel, config: SamplerConfig,
 
 
 def _step_noise(blocks: Iterator[np.ndarray], d: int) -> Iterator[np.ndarray]:
-    """Each step's (batch, d) noise, from each of `blocks` in turn.  Each
-    block is dropped before the next is drawn."""
-    chunk = next(blocks, None)
-    while chunk is not None:
-        for j in range(0, chunk.shape[1], d):
-            yield chunk[:, j:j + d]
-        chunk = None
-        chunk = next(blocks, None)
+    """Each step's (batch, d) noise, from each of `blocks` in turn.  No name
+    here holds a block once its last step is handed out, so it is gone as
+    soon as the caller drops that step, before the next block is drawn."""
+    for chunk in blocks:
+        width, held = chunk.shape[1], [chunk]
+        del chunk  # `held` gives the block up with its last step
+        for j in range(d, width + 1, d):
+            yield (held[0] if j < width else held.pop())[:, j - d:j]
 
 
 def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
@@ -168,14 +172,16 @@ def _draw_chains(model: ExactScoreModel, config: SamplerConfig, batch: int,
 
     Chain i's init is the first d normals of its stream and its step noise
     the next n_noise * d.  A run whose n_noise is at most
-    max(_NOISE_BUDGET // (batch * d), k) steps, k = ceil(_STREAM_FLOATS / d),
-    takes `chain_normals` as its `normals`.  A longer run draws its init
-    alone, then k steps at a time as they are used, from `chain_blocks`,
-    whose rows resume where they stopped, so the bytes are the same either
-    way.  Given `normals` are only read, so they may be shared.
+    max(_NOISE_BUDGET // (batch * d), k) steps,
+    k = max(1, _STREAM_FLOATS // d), takes `chain_normals` as its `normals`.
+    A longer run draws its init alone, then k steps at a time as they are
+    used, from `chain_blocks`, whose rows resume where they stopped, so the
+    bytes are the same either way; a chunk holds at most _STREAM_FLOATS
+    floats per chain and at least one step.  Given `normals` are only read,
+    so they may be shared.
     """
     d, shape = model.dataset.dim, _normals_shape(model, config, batch)
-    n_noise, k = shape[1] // d - 1, -(-_STREAM_FLOATS // d)
+    n_noise, k = shape[1] // d - 1, max(1, _STREAM_FLOATS // d)
     if normals is None and n_noise <= max(_NOISE_BUDGET // (batch * d), k):
         normals = chain_normals(config.seed, *shape)
     if normals is None:
@@ -248,6 +254,7 @@ def _run(model: ExactScoreModel, config: SamplerConfig, batch: int,
         _check_finite(X, i)
         if traj is not None:
             traj[:, i + 1] = X
+    del noise  # `chain_blocks` holds its last block until it is dropped
     finals = model.posterior_mean_batch(X, float(grid[-1]))
     return SamplerRun(config, grid, finals, traj)
 

@@ -66,16 +66,25 @@ def test_counts_must_be_integers_at_their_floor(site, bad):
         call(value)
 
 
-@pytest.mark.parametrize("bad", [True, np.nan, np.inf, "1"],
-                         ids=["True", "nan", "inf", "str"])
+@pytest.mark.parametrize("bad", [True, np.nan, np.inf, "1", 10 ** 400],
+                         ids=["True", "nan", "inf", "str", "10**400"])
 @pytest.mark.parametrize("site", REALS)
 def test_reals_must_be_finite(site, bad):
     # before the shared rule, VpSchedule(beta_max=inf) gave theta 0 at
     # s = 0.5, critical_theta_cov(True) returned 0.6436, and
-    # center_and_normalize(ds, nan) ran 100 rounds into a ConvergenceError
+    # center_and_normalize(ds, nan) ran 100 rounds into a ConvergenceError;
+    # an int past the float range passed the rule, and the site then raised
+    # a bare OverflowError
     call, name = REALS[site]
     with pytest.raises(DomainError, match="^" + re.escape(name) + " must"):
         call(bad)
+
+
+def test_a_radius_whose_square_leaves_the_float_range_is_rejected():
+    # 10**200 is a finite real, but the int product r * r / d raised a bare
+    # OverflowError; its square is now a float, inf, which lam's rule rejects
+    with pytest.raises(DomainError, match="^lam must be a finite real"):
+        critical_theta_sphere(2, 10 ** 200)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -54,10 +55,11 @@ def test_counts_must_be_integers(two_point_model, bad):
 
 
 @pytest.mark.parametrize("field", ["s_start", "s_min"])
-@pytest.mark.parametrize("bad", ["1", True, None, np.nan, np.inf],
-                         ids=["str", "True", "None", "nan", "inf"])
+@pytest.mark.parametrize("bad", ["1", True, None, np.nan, np.inf, 10 ** 400],
+                         ids=["str", "True", "None", "nan", "inf", "10**400"])
 def test_times_must_be_finite_reals(field, bad):
-    # each fails at construction with a DomainError that names the field
+    # each fails at construction with a DomainError that names the field;
+    # an int past the float range fails this rule, not the horizon check
     times = {"s_start": 1.0, "s_min": 1e-4, field: bad}
     with pytest.raises(DomainError, match=f"^{field} must be a finite real"):
         SamplerConfig(kind="ddim", n_steps=5, **times)
@@ -521,6 +523,83 @@ def test_chunks_are_at_least_a_stream_wide(gmm_model, monkeypatch, n_steps,
         assert drawn == [widths], init
 
 
+@pytest.fixture(scope="module")
+def sphere64_model(schedule):
+    return ExactScoreModel(hypersphere(64, 1.0, 96, seed=4), schedule)
+
+
+def test_wide_chunks_are_one_step(sphere64_model, monkeypatch):
+    # at D = 64 a chunk of at most 80 floats per chain is one step, 64
+    # floats, and the chunked run's bytes are those of one whole draw
+    drawn = _spy_blocks(monkeypatch)
+    monkeypatch.setattr(samplers, "_NOISE_BUDGET", 10)
+    n_steps = 3
+    for init in ("standard_normal", "gls"):
+        cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=n_steps,
+                            s_start=0.6, init=init, seed=3)
+        drawn.clear()
+        got = run_sampler(sphere64_model, cfg, 5, keep_trajectories=True)
+        assert drawn == [("chain_blocks", [64] * (n_steps + 1))], init
+        want = run_sampler(sphere64_model, cfg, 5, keep_trajectories=True,
+                           normals=chain_normals(3, 5, 64 * (n_steps + 1)))
+        assert np.array_equal(got.trajectories, want.trajectories), init
+
+
+def test_one_step_chunks_hold_no_noise_through_a_kernel_pass(
+        sphere64_model, monkeypatch):
+    # each one-step chunk is gone with its step, and the run drops the last
+    # one, which `chain_blocks` holds, before the final jump; the gls init
+    # replaces the init block, so no kernel pass runs beside a noise block
+    refs, live = [], []
+    blocks, mean = samplers.chain_blocks, ExactScoreModel.posterior_mean_batch
+
+    def spy_blocks(seed, chains, widths):  # a map holds no block it yielded
+        return map(lambda block: refs.append(weakref.ref(block)) or block,
+                   blocks(seed, chains, widths))
+
+    def spy_mean(self, X, s):
+        live.append(sum(ref() is not None for ref in refs))
+        return mean(self, X, s)
+
+    monkeypatch.setattr(samplers, "chain_blocks", spy_blocks)
+    monkeypatch.setattr(samplers, "_NOISE_BUDGET", 10)
+    monkeypatch.setattr(ExactScoreModel, "posterior_mean_batch", spy_mean)
+    cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=3, s_start=0.6,
+                        init="gls", seed=3)
+    run_sampler(sphere64_model, cfg, 5)
+    assert len(refs) == 4 and live == [0] * 4, (len(refs), live)
+
+
+def _made(value, refs):
+    """A (3, 4) block of `value`, weakly referenced in `refs`; made here, so
+    that no name of its caller holds it."""
+    block = np.full((3, 4), float(value))
+    refs.append(weakref.ref(block))
+    return block
+
+
+def test_step_noise_drops_each_block_with_its_last_step():
+    # no name in `_step_noise` holds a block once its last step is handed
+    # out, so a run of one-step chunks holds no noise through a kernel pass
+    refs = []
+    noise = samplers._step_noise((_made(j, refs) for j in range(2)), 2)
+    for j in range(2):
+        step = next(noise)
+        assert len(refs) == j + 1 and np.all(step == j)
+        del step
+        assert refs[j]() is not None  # its second step is still to come
+        step = next(noise)
+        assert np.all(step == j)
+        del step
+        assert refs[j]() is None and len(refs) == j + 1, j
+    assert next(noise, None) is None
+
+
+def test_step_noise_yields_nothing_for_an_empty_block():
+    # a ddim run's block, (batch, 0): no steps, no noise
+    assert list(samplers._step_noise(iter([np.empty((3, 0))]), 2)) == []
+
+
 def _run_peak(model, cfg, batch):
     gc.collect()  # untraced free-list objects would move the peak
     tracemalloc.start()
@@ -548,14 +627,15 @@ def test_sampler_memory_does_not_grow_with_n_steps(schedule):
 def test_wide_sphere_run_memory_is_bounded(schedule):
     # 512 chains on the N = 2048, D = 64 sphere: the kernel's operand is the
     # model's, a step updates the kernel's output in place, and a noise
-    # chunk is 2 steps, 128 floats per chain, drawn apart from the gls
-    # init's; the run holds the state, one posterior mean, the kernel's 1 MB
-    # block, a chunk and the chains' bare Philox streams, about 2.3 MB
+    # chunk is one step, 64 floats per chain, drawn apart from the gls
+    # init's and gone before the next kernel pass; the run holds the state,
+    # one posterior mean, the kernel's 1 MB block and the chains' bare
+    # Philox streams, about 1.8 MB
     model = ExactScoreModel(hypersphere(64, 1.0, 2048, seed=1), schedule)
     cfg = SamplerConfig(kind="ancestral_ddpm", n_steps=30, s_start=0.3,
                         init="gls", seed=11)
     peak = _run_peak(model, cfg, 512)
-    assert peak < 2.4e6, peak
+    assert peak < 2.0e6, peak
 
 
 def test_fast_ddim_run_memory_is_bounded(schedule):
