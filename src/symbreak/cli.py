@@ -25,7 +25,7 @@ import numpy as np
 
 from . import (__version__, analysis, bifurcation, config as cfgmod, datasets,
                rng, samplers)
-from .errors import ConfigError, NumericalError, SymbreakError
+from .errors import ConfigError, NumericalError, SymbreakError, check_count
 
 
 def _write_json(path: Path, obj) -> None:
@@ -235,8 +235,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
+        check_count(args.threads, "--threads", 1)
         cfg = cfgmod.load_config(args.config)
         out = Path(args.out)
         try:

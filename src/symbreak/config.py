@@ -24,25 +24,27 @@ Grammar (all sections optional unless a command needs them):
       sweep_csv             (optional knee input)
 
 The root may hold only these six sections, and a section only its own
-keys (a dataset section only those of its kind); any other key is a
-ConfigError naming it.
+keys (a dataset section only those of its kind); any other key, or a
+missing required one, is a ConfigError naming it.
+
+Config reads keys; the library decides every value.  A library error
+naming its argument comes back as a ConfigError naming the key
+(`schedule.n_steps must be an integer >= 2, got 10.5`), before anything
+is written.  A real key reaches the library as a float: `r: 2` is 2.0.
 
 Start times may be floats in (0, 1] or integer step indices on the
 schedule's reference grid (e.g. 800 means 800/1000); integers larger
 than 1 are treated as indices.
 """
 
-from __future__ import annotations
-
-import math
-import numbers
+from contextlib import contextmanager
 
 import yaml
 
 from . import datasets, rng
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, SymbreakError, check_count, check_real
 from .exact_score import ExactScoreModel
-from .samplers import _INITS, _KINDS, SamplerConfig
+from .samplers import SamplerConfig
 from .schedule import VpSchedule
 
 
@@ -99,7 +101,11 @@ def _section(cfg: dict, name: str, required: bool) -> dict:
         raise ConfigError(f"{name}: must be a mapping")
     allowed, where = _KEYS[name], ""
     if isinstance(allowed, dict):
-        kind = _choice(sec, name, "kind", tuple(allowed), required=True)
+        _required(sec, name, "kind")
+        kind = sec["kind"]
+        if kind not in tuple(allowed):  # a tuple: an unhashable kind is not in it
+            raise ConfigError(f"{name}.kind: expected one of {list(allowed)}, "
+                              f"got {kind!r}")
         allowed, where = allowed[kind], f" for kind {kind!r}"
     for key in sec:
         if key not in allowed:
@@ -108,125 +114,86 @@ def _section(cfg: dict, name: str, required: bool) -> dict:
     return sec
 
 
-def _number(v, field: str) -> float:
-    """v as a finite float; ConfigError naming the field otherwise."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ConfigError(f"{field}: must be a number, got {v!r}")
-    try:
-        x = float(v)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{field}: integer out of range") from None
-    if not math.isfinite(x):  # NaN would pass every range check
-        raise ConfigError(f"{field}: must be finite, got {x}")
-    return x
+def _required(sec: dict, section: str, *keys: str) -> None:
+    for key in keys:
+        if key not in sec:
+            raise ConfigError(f"{section}.{key}: required")
 
 
-def _numbers(sec: dict, section: str, key: str) -> list[float]:
-    """The optional list sec[key], each entry checked by _number."""
+def _list(sec: dict, section: str, key: str) -> list:
+    """The optional list sec[key]; its entries are the library's to check."""
     raw = sec.get(key)
-    if raw is None:
-        return []
-    if not isinstance(raw, list):
+    if raw is not None and not isinstance(raw, list):
         raise ConfigError(f"{section}.{key}: must be a list")
-    return [_number(v, f"{section}.{key}") for v in raw]
+    return raw or []
 
 
-def _num(sec: dict, section: str, key: str, default=None, *, lo=None, hi=None,
-         integer=False, required=False):
-    if key not in sec:
-        if required:
-            raise ConfigError(f"{section}.{key}: required")
-        return default
-    raw = sec[key]
-    v = _number(raw, f"{section}.{key}")
-    if integer:
-        if not isinstance(raw, numbers.Integral):
-            raise ConfigError(f"{section}.{key}: must be an integer, got {raw!r}")
-        v = int(raw)
-    if lo is not None and v < lo:
-        raise ConfigError(f"{section}.{key}: must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{section}.{key}: must be <= {hi}, got {v}")
-    return v
+@contextmanager
+def _keyed(section: str = "", **keys: str):
+    """Re-raise a library error naming its argument as a ConfigError naming
+    the key, `<section>.<key>`; `keys` maps an argument to another key."""
+    try:
+        yield
+    except SymbreakError as exc:
+        if exc.name is None:
+            raise
+        key = keys.get(exc.name, exc.name)
+        path = f"{section}.{key}" if section else key
+        raise ConfigError(path + str(exc)[len(exc.name):]) from None
 
 
-def _seed(sec: dict, section: str) -> int:
-    try:  # the one seed rule, as a ConfigError naming the key
-        return rng.check_seed(sec.get("seed", 0), f"{section}.seed")
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _choice(sec: dict, section: str, key: str, options, default=None,
-            required=False):
-    if key not in sec:
-        if required:
-            raise ConfigError(f"{section}.{key}: required")
-        return default
-    v = sec[key]
-    if v not in options:
-        raise ConfigError(
-            f"{section}.{key}: expected one of {list(options)}, got {v!r}")
-    return v
+def _real(value, name: str) -> float:
+    """value by the library's real rule, as a float: `r: 2` is 2.0."""
+    return float(check_real(value, name))
 
 
 def build_schedule(cfg: dict) -> VpSchedule:
     sec = _section(cfg, "schedule", required=False)
-    beta_min = _num(sec, "schedule", "beta_min", 0.1, lo=1e-12)
-    beta_max = _num(sec, "schedule", "beta_max", 20.0, lo=1e-12)
-    n_steps = _num(sec, "schedule", "n_steps", 1000, lo=2, integer=True)
-    if beta_max < beta_min:
-        raise ConfigError("schedule.beta_max: must be >= schedule.beta_min")
-    return VpSchedule(beta_min=beta_min, beta_max=beta_max, n_steps=n_steps)
+    with _keyed("schedule"):  # an absent key takes VpSchedule's default
+        return VpSchedule(**{key: v if key == "n_steps" else _real(v, key)
+                             for key, v in sec.items()})
 
 
 def parse_time_value(value, schedule: VpSchedule, field: str) -> float:
     """Float forward time in (0, 1], or an integer index on the reference grid."""
-    s = _number(value, field)
-    if isinstance(value, numbers.Integral) and value > 1:
+    with _keyed():  # the field is the whole key
+        s = _real(value, field)
+    if hasattr(value, "__index__") and value > 1:  # an int, numpy's too
         s /= schedule.n_steps
     if not 0 < s <= schedule.horizon:
-        raise ConfigError(
-            f"{field}: {value!r} maps to s={s:.6g}, outside (0, {schedule.horizon}]")
+        raise ConfigError(f"{field}: {value!r} maps to s={s:.6g}, outside "
+                          f"(0, {schedule.horizon}]")
     return s
 
 
 def build_dataset(cfg: dict) -> datasets.EmpiricalDataset:
     sec = _section(cfg, "dataset", required=True)
     kind = sec["kind"]  # checked by _section
-    seed = _seed(sec, "dataset")  # every kind's, though only two kinds draw
-    if kind == "two_point_1d":
-        ds = datasets.two_point_1d()
-    elif kind == "hypersphere":
-        ds = datasets.hypersphere(
-            d=_num(sec, "dataset", "d", required=True, integer=True, lo=1),
-            r=_num(sec, "dataset", "r", 1.0, lo=1e-12),
-            n=_num(sec, "dataset", "n", required=True, integer=True, lo=1),
-            seed=seed)
-    elif kind == "gaussian_mixture":
-        centers = sec.get("centers")
-        if (not isinstance(centers, list) or not centers
-                or not all(isinstance(c, list) and c for c in centers)):
-            raise ConfigError(
-                "dataset.centers: must be a nonempty list of coordinate lists")
-        ds = datasets.gaussian_mixture(
-            centers=centers,
-            std=_num(sec, "dataset", "std", required=True, lo=0.0),
-            n_per_mode=_num(sec, "dataset", "n_per_mode", required=True,
-                            integer=True, lo=1),
-            seed=seed)
-    else:
-        path = sec.get("path")
-        if not isinstance(path, str) or not path:
-            raise ConfigError("dataset.path: required for kind 'csv'")
-        try:
-            ds = datasets.load_csv(path)
-        except OSError as exc:
-            raise ConfigError(f"dataset.path: cannot read {path}: {exc}") from exc
+    with _keyed("dataset"):
+        seed = rng.check_seed(sec.get("seed", 0))  # every kind's; two draw
+        if kind == "two_point_1d":
+            ds = datasets.two_point_1d()
+        elif kind == "hypersphere":
+            _required(sec, "dataset", "d", "n")
+            ds = datasets.hypersphere(sec["d"], _real(sec.get("r", 1.0), "r"),
+                                      sec["n"], seed)
+        elif kind == "gaussian_mixture":
+            _required(sec, "dataset", "centers", "std", "n_per_mode")
+            ds = datasets.gaussian_mixture(
+                sec["centers"], _real(sec["std"], "std"), sec["n_per_mode"], seed)
+        else:
+            path = sec.get("path")
+            if not isinstance(path, str) or not path:
+                raise ConfigError("dataset.path: required for kind 'csv'")
+            try:
+                ds = datasets.load_csv(path)
+            except OSError as exc:
+                raise ConfigError(f"dataset.path: cannot read {path}: {exc}") from exc
     if sec.get("normalize") is not None:
         norm = _section(sec, "dataset.normalize", required=True)
-        ds = datasets.center_and_normalize(
-            ds, r=_num(norm, "dataset.normalize", "radius", 1.0, lo=1e-12))
+        with _keyed("dataset.normalize", r="radius"):
+            ds = datasets.center_and_normalize(
+                ds, _real(norm.get("radius", 1.0), "radius"))
     return ds
 
 
@@ -238,17 +205,13 @@ def build_sampler(cfg: dict, schedule: VpSchedule
                   ) -> tuple[SamplerConfig, int, bool]:
     """Returns (config, batch, keep_trajectories)."""
     sec = _section(cfg, "sampler", required=True)
-    kind = _choice(sec, "sampler", "kind", _KINDS, required=True)
-    s_start = parse_time_value(sec.get("s_start", 1.0), schedule,
-                               "sampler.s_start")
-    config = SamplerConfig(
-        kind=kind,
-        n_steps=_num(sec, "sampler", "n_steps", required=True, integer=True, lo=1),
-        s_start=s_start,
-        init=_choice(sec, "sampler", "init", _INITS, "standard_normal"),
-        s_min=_num(sec, "sampler", "s_min", 1e-4, lo=1e-12),
-        seed=_seed(sec, "sampler"))
-    batch = _num(sec, "sampler", "batch", 1000, integer=True, lo=1)
+    _required(sec, "sampler", "kind", "n_steps")
+    args = {key: v for key, v in sec.items() if key not in ("batch", "trajectories")}
+    args["s_start"] = parse_time_value(args.get("s_start", 1.0), schedule,
+                                       "sampler.s_start")
+    with _keyed("sampler"):  # an absent key takes SamplerConfig's default
+        config = SamplerConfig(**args)
+        batch = check_count(sec.get("batch", 1000), "batch", 1)
     keep = sec.get("trajectories", False)
     if not isinstance(keep, bool):
         raise ConfigError("sampler.trajectories: must be true or false")
@@ -263,27 +226,25 @@ def build_sweep(cfg: dict, schedule: VpSchedule) -> tuple[list[float], int]:
     grid = [parse_time_value(v, schedule, "sweep.s_start_grid") for v in raw]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep.s_start_grid: must be strictly increasing")
-    repeats = _num(sec, "sweep", "repeats", 1, integer=True, lo=1)
-    return grid, repeats
+    with _keyed("sweep"):
+        return grid, check_count(sec.get("repeats", 1), "repeats", 1)
 
 
 def build_scan(cfg: dict, schedule: VpSchedule) -> tuple[list[float], int, int]:
     """Returns (generative times, n_alpha, smoothing_window)."""
     sec = _section(cfg, "scan", required=True)
-    times = _numbers(sec, "scan", "times")
-    for t in times:
-        if not 0 <= t < schedule.horizon:
-            raise ConfigError(f"scan.times: {t!r} outside [0, {schedule.horizon})")
-    for theta in _numbers(sec, "scan", "theta_targets"):
-        try:
-            s = schedule.invert_theta(theta)
-        except DomainError as exc:
-            raise ConfigError(f"scan.theta_targets: {theta!r}: {exc}") from exc
-        times.append(schedule.horizon - s)
+    with _keyed("scan", theta="theta_targets"):
+        times = [_real(t, "times") for t in _list(sec, "scan", "times")]
+        for t in times:
+            if not 0 <= t < schedule.horizon:
+                raise ConfigError(
+                    f"scan.times: {t!r} outside [0, {schedule.horizon})")
+        times += [schedule.horizon - schedule.invert_theta(theta)
+                  for theta in _list(sec, "scan", "theta_targets")]
+        n_alpha = check_count(sec.get("n_alpha", 141), "n_alpha", 5)
+        window = check_count(sec.get("smoothing_window", 3), "smoothing_window", 1)
     if not times:
         raise ConfigError("scan: provide times and/or theta_targets")
-    n_alpha = _num(sec, "scan", "n_alpha", 141, integer=True, lo=5)
-    window = _num(sec, "scan", "smoothing_window", 3, integer=True, lo=1)
     if window % 2 == 0:
         raise ConfigError("scan.smoothing_window: must be odd")
     if n_alpha < 2 * window + 1:  # count_local_minima's need; fail before sampling
@@ -294,17 +255,16 @@ def build_scan(cfg: dict, schedule: VpSchedule) -> tuple[list[float], int, int]:
 
 def build_bifurcate(cfg: dict) -> dict:
     sec = _section(cfg, "bifurcate", required=True)
-    start = _num(sec, "bifurcate", "theta_start", 0.05, lo=1e-6, hi=1 - 1e-9)
-    stop = _num(sec, "bifurcate", "theta_stop", 0.995, lo=1e-6, hi=1 - 1e-9)
-    if stop < start:
-        raise ConfigError("bifurcate.theta_stop: must be >= theta_start")
-    out = {
-        "theta_start": start,
-        "theta_stop": stop,
-        "theta_count": _num(sec, "bifurcate", "theta_count", 96, integer=True,
-                            lo=2),
-        "sweep_csv": sec.get("sweep_csv"),
-    }
-    if out["sweep_csv"] is not None and not isinstance(out["sweep_csv"], str):
+    with _keyed("bifurcate"):
+        start = _real(sec.get("theta_start", 0.05), "theta_start")
+        stop = _real(sec.get("theta_stop", 0.995), "theta_stop")
+        count = check_count(sec.get("theta_count", 96), "theta_count", 2)
+    for key, theta, low in ("theta_start", start, 1e-6), ("theta_stop", stop, start):
+        if not low <= theta <= 1 - 1e-9:
+            raise ConfigError(f"bifurcate.{key}: must lie in [{low!r}, "
+                              f"1 - 1e-09], got {theta!r}")
+    sweep_csv = sec.get("sweep_csv")
+    if sweep_csv is not None and not isinstance(sweep_csv, str):
         raise ConfigError("bifurcate.sweep_csv: must be a path string")
-    return out
+    return {"theta_start": start, "theta_stop": stop, "theta_count": count,
+            "sweep_csv": sweep_csv}

@@ -73,7 +73,7 @@ def hypersphere(d: int, r: float, n: int, seed: int) -> EmpiricalDataset:
     """
     check_count(d, "d", 1)
     if check_real(r, "r") <= 0:
-        raise DomainError("hypersphere requires r > 0")
+        raise DomainError(f"r must be > 0, got {r!r}", name="r")
     check_count(n, "n", 1)
     rng = stream(seed)
     pts = rng.standard_normal((n, d))
@@ -87,15 +87,18 @@ def hypersphere(d: int, r: float, n: int, seed: int) -> EmpiricalDataset:
 
 def gaussian_mixture(centers, std: float, n_per_mode: int, seed: int) -> EmpiricalDataset:
     """n_per_mode isotropic Gaussian draws around each center, concatenated."""
-    try:
+    try:  # ragged rows, non-numbers and ints beyond the float range fail
         centers = np.asarray(centers, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
-        raise ShapeError(
-            f"centers must be a (K, D) array of numbers: {exc}") from exc
-    if centers.ndim != 2 or centers.shape[0] < 1:
-        raise ShapeError("centers must be a nonempty (K, D) array")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"centers must be a (K, D) array of numbers: {exc}",
+                         name="centers") from exc
+    if centers.ndim != 2 or centers.size == 0:
+        raise ShapeError("centers must be a nonempty (K, D) array",
+                         name="centers")
+    if not np.all(np.isfinite(centers)):
+        raise DomainError("centers must be finite", name="centers")
     if check_real(std, "std") < 0:
-        raise DomainError("gaussian_mixture requires std >= 0")
+        raise DomainError(f"std must be >= 0, got {std!r}", name="std")
     check_count(n_per_mode, "n_per_mode", 1)
     rng = stream(seed)
     blocks = [c + std * rng.standard_normal((n_per_mode, centers.shape[1]))
@@ -112,7 +115,7 @@ def center_and_normalize(dataset: EmpiricalDataset,
     iteration budget runs out.
     """
     if check_real(r, "r") <= 0:
-        raise DomainError("center_and_normalize requires r > 0")
+        raise DomainError(f"r must be > 0, got {r!r}", name="r")
     pts = np.array(dataset.points, dtype=np.float64)
     for _ in range(_NORMALIZE_ROUNDS):
         pts = pts - pts.mean(axis=0)

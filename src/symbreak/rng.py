@@ -39,11 +39,10 @@ from .errors import DomainError, check_count
 def check_seed(value, name: str = "seed") -> int:
     """value as a Philox key word; DomainError naming `name` otherwise."""
     try:
-        if check_count(value, name, 0) < 2 ** 64:
-            return int(value)
+        return check_count(value, name, 0, 2 ** 64 - 1)
     except DomainError:
-        pass
-    raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        raise DomainError(f"{name} must be an integer in [0, 2**64), got "
+                          f"{value!r}", name=name) from None
 
 
 def _key(seed: int, index: int) -> np.ndarray:

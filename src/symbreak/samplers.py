@@ -71,18 +71,17 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown sampler kind {self.kind!r}; "
-                              f"expected one of {_KINDS}")
-        if self.init not in _INITS:
-            raise DomainError(f"unknown init {self.init!r}; "
-                              f"expected one of {_INITS}")
+        for name, options in (("kind", _KINDS), ("init", _INITS)):
+            if getattr(self, name) not in options:
+                raise DomainError(f"{name} {getattr(self, name)!r} is unknown; "
+                                  f"expected one of {options}", name=name)
         check_count(self.n_steps, "n_steps", 1)
         if check_real(self.s_start, "s_start") > VpSchedule.horizon:
             raise DomainError(f"s_start must lie in (0, {VpSchedule.horizon}], "
-                              f"got {self.s_start!r}")
+                              f"got {self.s_start!r}", name="s_start")
         if not 0 < check_real(self.s_min, "s_min") < self.s_start:
-            raise DomainError("need 0 < s_min < s_start")
+            raise DomainError(f"s_min must lie in (0, s_start), got "
+                              f"{self.s_min!r}", name="s_min")
         check_seed(self.seed)
 
 

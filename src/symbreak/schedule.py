@@ -32,10 +32,12 @@ class VpSchedule:
     horizon: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        check_real(self.beta_min, "beta_min")
-        check_real(self.beta_max, "beta_max")
-        if not 0 < self.beta_min <= self.beta_max:
-            raise DomainError("schedule requires 0 < beta_min <= beta_max")
+        if check_real(self.beta_min, "beta_min") <= 0:
+            raise DomainError(f"beta_min must be > 0, got {self.beta_min!r}",
+                              name="beta_min")
+        if check_real(self.beta_max, "beta_max") < self.beta_min:
+            raise DomainError(f"beta_max must be >= beta_min, got "
+                              f"{self.beta_max!r}", name="beta_max")
         check_count(self.n_steps, "n_steps", 2)
 
     def _check_time(self, s):
@@ -74,9 +76,9 @@ class VpSchedule:
         monotone quadratic so the inverse is the closed-form root in range.
         """
         theta_end = self.theta_at(self.horizon)
-        if not theta_end <= theta <= 1.0:
-            raise DomainError(
-                f"theta must lie in [{theta_end:.6g}, 1] to be invertible")
+        if not theta_end <= check_real(theta, "theta") <= 1.0:
+            raise DomainError(f"theta must lie in [{theta_end:.6g}, 1] to be "
+                              f"invertible, got {theta!r}", name="theta")
         if theta == 1.0:
             return 0.0
         # Solve (dbeta/4) s^2 + (beta_min/2) s + ln(theta) = 0 for s.
@@ -93,6 +95,7 @@ class VpSchedule:
     def discrete_grid(self, n_sub: int, s_start: float) -> np.ndarray:
         """Equally spaced forward times from s_start down to 0, n_sub+1 nodes."""
         check_count(n_sub, "n_sub", 1)
-        if not 0 < s_start <= self.horizon:
-            raise DomainError(f"s_start must lie in (0, {self.horizon}]")
+        if not 0 < check_real(s_start, "s_start") <= self.horizon:
+            raise DomainError(f"s_start must lie in (0, {self.horizon}]",
+                              name="s_start")
         return np.linspace(s_start, 0.0, n_sub + 1)

@@ -50,20 +50,25 @@ REALS = {  # id: (call, argument name)
                                "r"),
     "critical_theta_cov-lam": (critical_theta_cov, "lam"),
     "critical_theta_sphere-r": (lambda v: critical_theta_sphere(2, v), "r"),
+    "schedule-invert_theta": (lambda v: VpSchedule().invert_theta(v), "theta"),
+    "discrete_grid-s_start": (lambda v: VpSchedule().discrete_grid(2, v),
+                              "s_start"),
 }
 
 
-@pytest.mark.parametrize("bad", ["True", "2.5", "float64", "below"])
+@pytest.mark.parametrize("bad", ["True", "2.5", "float64", "below", "huge"])
 @pytest.mark.parametrize("site", COUNTS)
 def test_counts_must_be_integers_at_their_floor(site, bad):
     # before the shared rule, VpSchedule(n_steps=2.5) was accepted,
     # discrete_grid(True, s) and count_local_minima(v, True) ran with 1, and
-    # hypersphere(2.0, ...) raised numpy's TypeError
+    # hypersphere(2.0, ...) raised numpy's TypeError; a count past
+    # sys.maxsize, which numpy cannot take, raised its bare ValueError
     call, name, least = COUNTS[site]
     value = {"True": True, "2.5": 2.5, "float64": np.float64(3.0),
-             "below": least - 1}[bad]
-    with pytest.raises(DomainError, match="^" + re.escape(name) + " must"):
+             "below": least - 1, "huge": 10 ** 400}[bad]
+    with pytest.raises(DomainError, match="^" + re.escape(name) + " must") as info:
         call(value)
+    assert info.value.name == name  # what config re-raises under its key
 
 
 @pytest.mark.parametrize("bad", [True, np.nan, np.inf, "1", 10 ** 400],
@@ -74,10 +79,12 @@ def test_reals_must_be_finite(site, bad):
     # s = 0.5, critical_theta_cov(True) returned 0.6436, and
     # center_and_normalize(ds, nan) ran 100 rounds into a ConvergenceError;
     # an int past the float range passed the rule, and the site then raised
-    # a bare OverflowError
+    # a bare OverflowError; invert_theta(True) returned 0.0, invert_theta("0.5")
+    # raised a bare TypeError, and discrete_grid(2, True) returned [1, 0.5, 0]
     call, name = REALS[site]
-    with pytest.raises(DomainError, match="^" + re.escape(name) + " must"):
+    with pytest.raises(DomainError, match="^" + re.escape(name) + " must") as info:
         call(bad)
+    assert info.value.name == name
 
 
 def test_a_radius_whose_square_leaves_the_float_range_is_rejected():

@@ -1,7 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 import yaml
 
+from symbreak import config
+from symbreak.cli import main
 from symbreak.config import (build_bifurcate, build_dataset, build_model,
                              build_sampler, build_scan, build_schedule,
                              build_sweep, load_config, parse_time_value)
@@ -77,9 +82,9 @@ def test_build_schedule_overrides():
 def test_build_schedule_errors_name_the_key():
     with pytest.raises(ConfigError, match=r"schedule\.beta_max"):
         build_schedule({"schedule": {"beta_min": 5.0, "beta_max": 1.0}})
-    with pytest.raises(ConfigError, match=r"schedule\.n_steps: must be an integer"):
+    with pytest.raises(ConfigError, match=r"schedule\.n_steps must be an integer"):
         build_schedule({"schedule": {"n_steps": 10.5}})
-    with pytest.raises(ConfigError, match=r"schedule\.beta_min: must be a number"):
+    with pytest.raises(ConfigError, match=r"schedule\.beta_min must be a finite real"):
         build_schedule({"schedule": {"beta_min": True}})
     with pytest.raises(ConfigError, match="must be a mapping"):
         build_schedule({"schedule": [1, 2]})
@@ -97,11 +102,11 @@ def test_parse_time_value_rejects_bad_input(schedule):
     for bad in (0, 0.0, -0.5, 1.5, 1001):
         with pytest.raises(ConfigError, match="outside"):
             parse_time_value(bad, schedule, "f")
-    with pytest.raises(ConfigError, match="must be a number"):
+    with pytest.raises(ConfigError, match="must be a finite real"):
         parse_time_value(True, schedule, "f")
-    with pytest.raises(ConfigError, match="must be a number"):
+    with pytest.raises(ConfigError, match="must be a finite real"):
         parse_time_value("0.5", schedule, "f")
-    with pytest.raises(ConfigError, match="out of range"):
+    with pytest.raises(ConfigError, match="must be a finite real"):
         parse_time_value(10 ** 400, schedule, "f")
 
 
@@ -134,10 +139,16 @@ def test_build_dataset_gaussian_mixture():
                        "std": 0.1, "n_per_mode": 8}}
     ds = build_dataset(cfg)
     assert ds.points.shape == (16, 2)
-    with pytest.raises(ConfigError, match=r"dataset\.centers"):
-        build_dataset({"dataset": {"kind": "gaussian_mixture",
-                                   "centers": [1.0, -1.0],
-                                   "std": 0.1, "n_per_mode": 8}})
+    # not a list of rows, ragged, text, beyond the float range, NaN, no
+    # coordinates; before, the ragged and text cases named only `centers`,
+    # 10**400 raised a bare OverflowError, and NaN and [[]] failed on the
+    # points without a key
+    for centers in ([1.0, -1.0], [[1.0, 2.0], [3.0]], [["a", 2.0]],
+                    [[10 ** 400, 0.0]], [[float("nan"), 0.0]], [[]]):
+        with pytest.raises(ConfigError, match=r"^dataset\.centers "):
+            build_dataset({"dataset": {"kind": "gaussian_mixture",
+                                       "centers": centers,
+                                       "std": 0.1, "n_per_mode": 8}})
 
 
 def test_build_dataset_csv_round_trip(tmp_path):
@@ -207,7 +218,7 @@ def test_build_sampler_rejects_bad_fields():
     with pytest.raises(ConfigError, match="expected one of"):
         build_sampler({"sampler": {"kind": "ddim", "n_steps": 5,
                                    "init": "warm"}}, VpSchedule())
-    with pytest.raises(ConfigError, match=r"sampler\.s_min: .* out of range"):
+    with pytest.raises(ConfigError, match=r"sampler\.s_min must be a finite real"):
         build_sampler({"sampler": {"kind": "ddim", "n_steps": 5,
                                    "s_min": 10 ** 400}}, VpSchedule())
 
@@ -312,8 +323,97 @@ def test_build_bifurcate_validation():
 def test_non_finite_numbers_are_rejected(tmp_path, value):
     # NaN compares false against every bound, so range checks alone pass it
     cfg = load_config(_write(tmp_path, f"bifurcate: {{theta_start: {value}}}\n"))
-    with pytest.raises(ConfigError, match=r"bifurcate\.theta_start: must be finite"):
+    with pytest.raises(ConfigError, match=r"bifurcate\.theta_start must be a finite real"):
         build_bifurcate(cfg)
     cfg = load_config(_write(tmp_path, f"bifurcate: {{theta_stop: {value}}}\n"))
-    with pytest.raises(ConfigError, match=r"bifurcate\.theta_stop: must be finite"):
+    with pytest.raises(ConfigError, match=r"bifurcate\.theta_stop must be a finite real"):
         build_bifurcate(cfg)
+
+
+# Every numeric key of the grammar: (section base, floor if a count, list?).
+# A count also gets 2.5 and its floor minus 1; a list key gets each bad
+# value as an entry.
+_HYPERSPHERE = {"kind": "hypersphere", "d": 2, "n": 4}
+_MIXTURE = {"kind": "gaussian_mixture", "centers": [[1.0, 0.0]], "std": 0.1,
+            "n_per_mode": 4}
+GRAMMAR = {
+    "dataset.seed": (_HYPERSPHERE, 0, False),
+    "dataset.d": (_HYPERSPHERE, 1, False),
+    "dataset.r": (_HYPERSPHERE, None, False),
+    "dataset.n": (_HYPERSPHERE, 1, False),
+    "dataset.centers": (_MIXTURE, None, False),
+    "dataset.std": (_MIXTURE, None, False),
+    "dataset.n_per_mode": (_MIXTURE, 1, False),
+    "dataset.normalize.radius": ({}, None, False),
+    "schedule.beta_min": ({}, None, False),
+    "schedule.beta_max": ({}, None, False),
+    "schedule.n_steps": ({}, 2, False),
+    "sampler.n_steps": ({"kind": "ddim", "n_steps": 5}, 1, False),
+    "sampler.s_start": ({"kind": "ddim", "n_steps": 5}, None, False),
+    "sampler.s_min": ({"kind": "ddim", "n_steps": 5}, None, False),
+    "sampler.seed": ({"kind": "ddim", "n_steps": 5}, 0, False),
+    "sampler.batch": ({"kind": "ddim", "n_steps": 5}, 1, False),
+    "sweep.s_start_grid": ({}, None, True),
+    "sweep.repeats": ({"s_start_grid": [0.5]}, 1, False),
+    "scan.times": ({}, None, True),
+    "scan.theta_targets": ({}, None, True),
+    "scan.n_alpha": ({"times": [0.5]}, 5, False),
+    "scan.smoothing_window": ({"times": [0.5]}, 1, False),
+    "bifurcate.theta_start": ({}, None, False),
+    "bifurcate.theta_stop": ({}, None, False),
+    "bifurcate.theta_count": ({}, 2, False),
+}
+_TEXT_KEYS = {"kind", "init", "trajectories", "path", "sweep_csv", "normalize"}
+
+
+def test_the_grammar_table_holds_every_numeric_key():
+    keys = set()
+    for section, allowed in config._KEYS.items():
+        if isinstance(allowed, dict):  # a dataset's keys, over every kind
+            allowed = {key for kind_keys in allowed.values() for key in kind_keys}
+        keys |= {f"{section}.{key}" for key in allowed if key not in _TEXT_KEYS}
+    assert keys == set(GRAMMAR)
+
+
+def _build(path: str, value):
+    """Build the section of `path` from its GRAMMAR base with `value` set."""
+    section, _, key = path.rpartition(".")
+    base, _, is_list = GRAMMAR[path]
+    sec = {**base, key: [value] if is_list else value}
+    schedule = VpSchedule()
+    if section == "dataset.normalize":
+        return build_dataset({"dataset": {"kind": "two_point_1d",
+                                          "normalize": sec}})
+    build = {"dataset": build_dataset, "schedule": build_schedule,
+             "bifurcate": build_bifurcate,
+             "sampler": lambda cfg: build_sampler(cfg, schedule),
+             "sweep": lambda cfg: build_sweep(cfg, schedule),
+             "scan": lambda cfg: build_scan(cfg, schedule)}[section]
+    return build({section: sec})
+
+
+@pytest.mark.parametrize("path, bad", [
+    (path, bad) for path, (_, floor, _) in GRAMMAR.items()
+    for bad in ["bool", "nan", "10**400", "text"]
+    + ([] if floor is None else ["2.5", "below"])])
+def test_every_bad_numeric_value_names_its_key(path, bad):
+    floor = GRAMMAR[path][1]
+    value = {"bool": True, "nan": float("nan"), "10**400": 10 ** 400,
+             "text": "1", "2.5": 2.5, "below": (floor or 0) - 1}[bad]
+    with pytest.raises(ConfigError, match="^" + re.escape(path) + r"[ :]"):
+        _build(path, value)
+
+
+def test_a_yaml_int_reaches_the_library_as_a_float(tmp_path, capsys):
+    sphere = build_dataset({"dataset": {**_HYPERSPHERE, "r": 2}})
+    normalized = build_dataset({"dataset": {"kind": "two_point_1d",
+                                            "normalize": {"radius": 2}}})
+    schedule = build_schedule({"schedule": {"beta_min": 1}})
+    for value in (sphere.radius, normalized.radius, schedule.beta_min):
+        assert type(value) is float and value == int(value)
+    cfg = _write(tmp_path, "dataset: {kind: hypersphere, d: 3, n: 4, r: 2}\n")
+    out = tmp_path / "out"
+    assert main(["dataset", "inspect", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "inspect.json").read_text()
+    assert '"radius": 2.0\n' in text and json.loads(text)["radius"] == 2.0
